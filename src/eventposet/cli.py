@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .chains import ValuedChain
 from .dotexport import export_dot
-from .errors import EventPosetError
+from .errors import EventPosetError, MissingProjectionError
 from .generators import generate_random, generate_simplex, standard_lattice
 from .intervals import (
     GeneralizedInterval,
@@ -50,9 +50,12 @@ from .structure import (
     collinearity_case,
     detect_linear_relation,
 )
-from .errors import MissingProjectionError
 from .textio import format_poset_text, parse_poset_text
 from .verify import run_all, run_for
+
+
+class _UsageError(Exception):
+    """Bad command-line input found after parsing; reported as exit 2."""
 
 
 def _load(args) -> tuple[Poset, dict[str, ValuedChain]]:
@@ -64,25 +67,25 @@ def _load(args) -> tuple[Poset, dict[str, ValuedChain]]:
         params = rest.split(",") if rest else []
         if kind == "lattice":
             if len(params) != 2:
-                raise SystemExit("--gen lattice takes U,V")
+                raise _UsageError("--gen lattice takes U,V")
             lattice = standard_lattice(int(params[0]), int(params[1]))
             return lattice.poset, lattice.chains
         if kind == "simplex":
             if len(params) != 1:
-                raise SystemExit("--gen simplex takes N")
+                raise _UsageError("--gen simplex takes N")
             return generate_simplex(int(params[0]))
         if kind == "random":
             if len(params) != 3:
-                raise SystemExit("--gen random takes SEED,N,DENSITY")
+                raise _UsageError("--gen random takes SEED,N,DENSITY")
             poset = generate_random(int(params[0]), int(params[1]), float(params[2]))
             return poset, {}
-        raise SystemExit(f"unknown generator {kind!r}")
-    raise SystemExit("one of --input or --gen is required")
+        raise _UsageError(f"unknown generator {kind!r}")
+    raise _UsageError("one of --input or --gen is required")
 
 
 def _chain(chains: dict[str, ValuedChain], name: str) -> ValuedChain:
     if name not in chains:
-        raise SystemExit(f"no chain named {name!r}; available: {sorted(chains)}")
+        raise _UsageError(f"no chain named {name!r}; available: {sorted(chains)}")
     return chains[name]
 
 
@@ -303,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out")
     export.set_defaults(fn=_cmd_export)
 
+    for command in sub.choices.values():
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
@@ -310,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        args.usage_error(str(exc))
     except EventPosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

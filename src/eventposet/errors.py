@@ -38,12 +38,16 @@ class DifferentChainsError(EventPosetError):
     """Closed intervals live on different valued chains."""
 
 
-class NotQuantifiableError(EventPosetError):
-    """The event lacks a forward or backward projection onto the chain."""
-
-
 class MissingProjectionError(EventPosetError):
     """A projection required by the operation does not exist."""
+
+
+class NotQuantifiableError(MissingProjectionError):
+    """The event lacks a forward or backward projection onto the chain.
+
+    A MissingProjectionError: every operation that needs an event's
+    projections in both directions raises it.
+    """
 
 
 class NotProperlyCollinearError(EventPosetError):

@@ -25,7 +25,7 @@ from .errors import (
     SideUnknownError,
 )
 from .poset import EventId
-from .projection import ProjectionCase, classify_projection, forward_project
+from .projection import forward_project, quantify_event
 from .structure import Betweenness, CollinearityCase, check_coordinated, matching_cases
 
 
@@ -90,16 +90,6 @@ def pair(first, second) -> IntervalPair:
     return IntervalPair(first, second)
 
 
-def _quantify(x: EventId, vc: ValuedChain) -> tuple[Fraction, Fraction]:
-    outcome = classify_projection(x, vc.chain)
-    if outcome.case is not ProjectionCase.D_BOTH:
-        raise MissingProjectionError(
-            f"endpoint {x} is {outcome.case.value} with respect to chain "
-            f"{vc.name!r}"
-        )
-    return vc.value_of(outcome.forward), vc.value_of(outcome.backward)
-
-
 def _on_p_side(side: Betweenness) -> bool:
     if side is Betweenness.NONE:
         raise SideUnknownError("endpoint side relative to the chain is unknown")
@@ -119,8 +109,8 @@ def interval_pair_one_chain(
     both endpoints on one side the pair is (forward length, backward
     length); with the chain straddled the projections cross over.
     """
-    fa, ba = _quantify(interval.a, p)
-    fb, bb = _quantify(interval.b, p)
+    fa, ba = quantify_event(interval.a, p)
+    fb, bb = quantify_event(interval.b, p)
     straddles = _on_p_side(side_a) != _on_p_side(side_b)
     if straddles:
         return IntervalPair(
@@ -164,25 +154,34 @@ def _require_between(x: EventId, p: ValuedChain, q: ValuedChain) -> None:
         )
 
 
-def interval_pair_two_chains(
+def _two_chain_images(
     interval: GeneralizedInterval, p: ValuedChain, q: ValuedChain
-) -> IntervalPair:
-    """Quantify by forward projections onto two coordinated chains."""
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Valuations ``(pa, pb, qa, qb)`` of the endpoints' forward images.
+
+    The chains must be coordinated and the endpoints between them.
+    """
     _require_coordinated(p, q)
     _require_between(interval.a, p, q)
     _require_between(interval.b, p, q)
     values = []
     for vc in (p, q):
-        images = []
         for x in (interval.a, interval.b):
             image = forward_project(x, vc.chain)
             if image is None:
                 raise MissingProjectionError(
                     f"endpoint {x} does not forward project onto {vc.name!r}"
                 )
-            images.append(vc.value_of(image))
-        values.append(images[1] - images[0])
-    return IntervalPair(values[0], values[1], PairBasis.TWO_CHAIN, (p.name, q.name))
+            values.append(vc.value_of(image))
+    return tuple(values)
+
+
+def interval_pair_two_chains(
+    interval: GeneralizedInterval, p: ValuedChain, q: ValuedChain
+) -> IntervalPair:
+    """Quantify by forward projections onto two coordinated chains."""
+    pa, pb, qa, qb = _two_chain_images(interval, p, q)
+    return IntervalPair(pb - pa, qb - qa, PairBasis.TWO_CHAIN, (p.name, q.name))
 
 
 def length_of_pair(p: IntervalPair) -> Fraction:
@@ -224,30 +223,35 @@ def chain_distance(
         )
     delta_p = p.value_of(p_event) - p.value_of(p_image)
     delta_q = q.value_of(q_image) - q.value_of(q_event)
-    return (delta_p - delta_q) / 2
+    return distance_of_pair(pair(delta_p, delta_q))
 
 
 def decompose(p: IntervalPair) -> tuple[IntervalPair, IntervalPair]:
     """Split into symmetric plus antisymmetric parts; they re-add exactly."""
-    mean = (p.first + p.second) / 2
-    half_diff = (p.first - p.second) / 2
+    mean = length_of_pair(p)
+    half_diff = distance_of_pair(p)
     symmetric = IntervalPair(mean, mean, p.basis, p.chains)
     antisymmetric = IntervalPair(half_diff, -half_diff, p.basis, p.chains)
     return symmetric, antisymmetric
+
+
+def _kind_of_scalar(scalar: Fraction | float) -> IntervalKind:
+    """Sign test of the scalar ``first * second``: positive is chain-like,
+    negative antichain-like, zero projection-like."""
+    if scalar > 0:
+        return IntervalKind.CHAIN_LIKE
+    if scalar < 0:
+        return IntervalKind.ANTICHAIN_LIKE
+    return IntervalKind.PROJECTION_LIKE
 
 
 def classify_interval(p: IntervalPair) -> IntervalClassification:
     """Like signs are chain-like, opposite antichain-like, a zero
     component projection-like. Pure means equal magnitudes; the (0, 0)
     pair counts as pure projection-like."""
-    product = p.first * p.second
-    if product > 0:
-        kind = IntervalKind.CHAIN_LIKE
-    elif product < 0:
-        kind = IntervalKind.ANTICHAIN_LIKE
-    else:
-        kind = IntervalKind.PROJECTION_LIKE
-    return IntervalClassification(kind, abs(p.first) == abs(p.second))
+    return IntervalClassification(
+        _kind_of_scalar(p.first * p.second), abs(p.first) == abs(p.second)
+    )
 
 
 def join_intervals(
@@ -288,22 +292,9 @@ def split_at_artificial_event(
 
     The event is defined so that [a, 0] is quantified by an antisymmetric
     pair and [0, b] by a symmetric one; together they realize the
-    symmetric-antisymmetric decomposition as an actual join.
+    symmetric-antisymmetric decomposition as an actual join. So it sits
+    the antisymmetric part (d, -d) of the pair away from a.
     """
-    _require_coordinated(p, q)
-    _require_between(interval.a, p, q)
-    _require_between(interval.b, p, q)
-    coords = {}
-    for label, x in (("a", interval.a), ("b", interval.b)):
-        for vc in (p, q):
-            image = forward_project(x, vc.chain)
-            if image is None:
-                raise MissingProjectionError(
-                    f"endpoint {x} does not forward project onto {vc.name!r}"
-                )
-            coords[(label, vc.name)] = vc.value_of(image)
-    pa, pb = coords[("a", p.name)], coords[("b", p.name)]
-    qa, qb = coords[("a", q.name)], coords[("b", q.name)]
-    p0 = (pa + pb + qa - qb) / 2
-    q0 = (pa - pb + qa + qb) / 2
-    return p0, q0
+    pa, pb, qa, qb = _two_chain_images(interval, p, q)
+    d = distance_of_pair(pair(pb - pa, qb - qa))
+    return pa + d, qa - d

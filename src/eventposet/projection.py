@@ -71,19 +71,36 @@ def backward_project(x: EventId, chain: Chain) -> EventId | None:
     return elements[lo]
 
 
+_CASE_OF_PRESENCE = {
+    (False, False): ProjectionCase.A_INCOMPARABLE,
+    (False, True): ProjectionCase.B_BACKWARD_ONLY,
+    (True, False): ProjectionCase.C_FORWARD_ONLY,
+    (True, True): ProjectionCase.D_BOTH,
+}
+
+
 def classify_projection(x: EventId, chain: Chain) -> ProjectionOutcome:
     """Combine both projections into the four-way case classification."""
     forward = forward_project(x, chain)
     backward = backward_project(x, chain)
-    if forward is None and backward is None:
-        case = ProjectionCase.A_INCOMPARABLE
-    elif forward is None:
-        case = ProjectionCase.B_BACKWARD_ONLY
-    elif backward is None:
-        case = ProjectionCase.C_FORWARD_ONLY
-    else:
-        case = ProjectionCase.D_BOTH
+    case = _CASE_OF_PRESENCE[forward is not None, backward is not None]
     return ProjectionOutcome(case, forward, backward)
+
+
+def _project_both_ways(x: EventId, chain: Chain) -> tuple[EventId, EventId]:
+    """``(forward, backward)`` projections of ``x``, both required.
+
+    Raises NotQuantifiableError, a MissingProjectionError, naming the
+    case of ``x`` when either projection is absent.
+    """
+    forward = forward_project(x, chain)
+    backward = backward_project(x, chain)
+    if forward is None or backward is None:
+        case = _CASE_OF_PRESENCE[forward is not None, backward is not None]
+        raise NotQuantifiableError(
+            f"event {x} is {case.value} with respect to chain {chain.name!r}"
+        )
+    return forward, backward
 
 
 def quantify_event(x: EventId, valued_chain: ValuedChain) -> tuple[Fraction, Fraction]:
@@ -92,13 +109,5 @@ def quantify_event(x: EventId, valued_chain: ValuedChain) -> tuple[Fraction, Fra
     Only elements that project in both directions carry coordinates on
     this chain; anything else is outside its coordinate patch.
     """
-    outcome = classify_projection(x, valued_chain.chain)
-    if outcome.case is not ProjectionCase.D_BOTH:
-        raise NotQuantifiableError(
-            f"event {x} is {outcome.case.value} with respect to chain "
-            f"{valued_chain.name!r}"
-        )
-    return (
-        valued_chain.value_of(outcome.forward),
-        valued_chain.value_of(outcome.backward),
-    )
+    forward, backward = _project_both_ways(x, valued_chain.chain)
+    return valued_chain.value_of(forward), valued_chain.value_of(backward)

@@ -25,15 +25,30 @@ from .errors import (
     MissingProjectionError,
     OutOfRangeError,
 )
-from .intervals import IntervalPair, chain_distance
+from .intervals import (
+    IntervalKind,
+    IntervalPair,
+    _kind_of_scalar,
+    chain_distance,
+    distance_of_pair,
+    length_of_pair,
+    pair,
+)
 from .poset import EventId
-from .projection import ProjectionCase, classify_projection
+from .projection import quantify_event
 
 
 class Character(Enum):
     TIME_LIKE = "time-like"
     SPACE_LIKE = "space-like"
     NULL = "null"
+
+
+_CHARACTER_OF_KIND = {
+    IntervalKind.CHAIN_LIKE: Character.TIME_LIKE,
+    IntervalKind.ANTICHAIN_LIKE: Character.SPACE_LIKE,
+    IntervalKind.PROJECTION_LIKE: Character.NULL,
+}
 
 
 @dataclass(frozen=True)
@@ -104,13 +119,7 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
 def interval_scalar(p: IntervalPair) -> ScalarResult:
     """Product of the pair components, with its causal character."""
     value = p.first * p.second
-    if value > 0:
-        character = Character.TIME_LIKE
-    elif value < 0:
-        character = Character.SPACE_LIKE
-    else:
-        character = Character.NULL
-    return ScalarResult(value, character)
+    return ScalarResult(value, _CHARACTER_OF_KIND[_kind_of_scalar(value)])
 
 
 def scalar_length(p: IntervalPair) -> ScalarLength:
@@ -127,10 +136,9 @@ def scalar_length(p: IntervalPair) -> ScalarLength:
 
 def minkowski_form(p: IntervalPair) -> tuple[Fraction, Fraction, Fraction]:
     """(scalar, dt^2, dx^2) with scalar = dt^2 - dx^2 exactly."""
-    scalar = p.first * p.second
-    dt = (p.first + p.second) / 2
-    dx = (p.first - p.second) / 2
-    return scalar, dt * dt, dx * dx
+    dt = length_of_pair(p)
+    dx = distance_of_pair(p)
+    return p.first * p.second, dt * dt, dx * dx
 
 
 def _sqrt_ratio(t: PairTransform) -> Fraction | float:
@@ -190,7 +198,7 @@ def compose_transforms(t1: PairTransform, t2: PairTransform) -> PairTransform:
 
 
 def to_coords(p: IntervalPair) -> SpacetimeCoords:
-    return SpacetimeCoords((p.first + p.second) / 2, (p.first - p.second) / 2)
+    return SpacetimeCoords(length_of_pair(p), distance_of_pair(p))
 
 
 def from_coords(coords: SpacetimeCoords) -> IntervalPair:
@@ -266,15 +274,9 @@ def element_chain_distance(x: EventId, p: ValuedChain, ref: EventId) -> Fraction
     """
     if p.index_of(ref) is None:
         raise OutOfRangeError(f"reference {ref} is not on chain {p.name!r}")
-    outcome = classify_projection(x, p.chain)
-    if outcome.case is not ProjectionCase.D_BOTH:
-        raise MissingProjectionError(
-            f"event {x} does not project both ways onto chain {p.name!r}"
-        )
+    forward_value, backward_value = quantify_event(x, p)
     ref_value = p.value_of(ref)
-    forward_value = p.value_of(outcome.forward)
-    backward_value = p.value_of(outcome.backward)
-    return ((ref_value - forward_value) - (ref_value - backward_value)) / 2
+    return distance_of_pair(pair(ref_value - forward_value, ref_value - backward_value))
 
 
 def chain_separation(p: ValuedChain, q: ValuedChain) -> Fraction:

@@ -29,7 +29,12 @@ from .errors import (
     NotProperlyCollinearError,
 )
 from .poset import EventId
-from .projection import backward_project, forward_project
+from .projection import (
+    _project_both_ways,
+    backward_project,
+    forward_project,
+    quantify_event,
+)
 
 
 class CollinearityCase(Enum):
@@ -76,16 +81,6 @@ class LinearRelation:
             raise ValueError("projection step lengths cannot be negative")
 
 
-def _primaries(x: EventId, chain: Chain) -> tuple[EventId, EventId]:
-    fwd = forward_project(x, chain)
-    bwd = backward_project(x, chain)
-    if fwd is None or bwd is None:
-        raise MissingProjectionError(
-            f"event {x} does not project both ways onto chain {chain.name!r}"
-        )
-    return fwd, bwd
-
-
 def _case_patterns(px, pbx, qx, qbx, p_chain, q_chain):
     """The five identity blocks, as lazy checks.
 
@@ -111,8 +106,8 @@ def _case_patterns(px, pbx, qx, qbx, p_chain, q_chain):
 def matching_cases(x: EventId, p_chain: Chain, q_chain: Chain) -> tuple[CollinearityCase, ...]:
     """All identity blocks that hold for ``x``; used by the verifier to
     confirm at most one ever matches on generated posets."""
-    px, pbx = _primaries(x, p_chain)
-    qx, qbx = _primaries(x, q_chain)
+    px, pbx = _project_both_ways(x, p_chain)
+    qx, qbx = _project_both_ways(x, q_chain)
     matched = []
     cache: dict[tuple[int, int, int], EventId | None] = {}
 
@@ -171,17 +166,17 @@ def chain_properly_collinear(x_chain: Chain, p_chain: Chain, q_chain: Chain) -> 
     chain between the lowest backward image and the highest forward image.
     """
     # Extremal projections must exist; monotonicity then covers the rest.
-    _primaries(x_chain.elements[0], p_chain)
-    _primaries(x_chain.elements[-1], p_chain)
-    _primaries(x_chain.elements[0], q_chain)
-    _primaries(x_chain.elements[-1], q_chain)
+    _project_both_ways(x_chain.elements[0], p_chain)
+    _project_both_ways(x_chain.elements[-1], p_chain)
+    _project_both_ways(x_chain.elements[0], q_chain)
+    _project_both_ways(x_chain.elements[-1], q_chain)
 
     for target in (p_chain, q_chain):
         touched: set[int] = set()
         for x in x_chain.elements:
             if not is_properly_collinear(x, p_chain, q_chain):
                 return False
-            fwd, bwd = _primaries(x, target)
+            fwd, bwd = _project_both_ways(x, target)
             touched.add(target.index_of(fwd))
             touched.add(target.index_of(bwd))
         span = range(min(touched), max(touched) + 1)
@@ -287,6 +282,19 @@ def _direction_maps(
     return maps
 
 
+def _compatible(maps) -> bool:
+    """Bijectivity test of :func:`check_compatible` over built maps."""
+    for src, dst, pairs in maps:
+        if not pairs:
+            raise MissingProjectionError(
+                f"chains {src.name!r} and {dst.name!r} share no projections "
+                "over the inspected ranges"
+            )
+        if not _bijective(pairs):
+            return False
+    return True
+
+
 def check_compatible(
     p: ValuedChain,
     q: ValuedChain,
@@ -302,17 +310,9 @@ def check_compatible(
     rely on. Raises MissingProjectionError when some direction has no
     projections over the windows at all.
     """
-    p_range = p_range or _full_range(p)
-    q_range = q_range or _full_range(q)
-    for src, dst, pairs in _direction_maps(p, q, p_range, q_range):
-        if not pairs:
-            raise MissingProjectionError(
-                f"chains {src.name!r} and {dst.name!r} share no projections "
-                "over the inspected ranges"
-            )
-        if not _bijective(pairs):
-            return False
-    return True
+    return _compatible(
+        _direction_maps(p, q, p_range or _full_range(p), q_range or _full_range(q))
+    )
 
 
 def check_coordinated(
@@ -326,14 +326,13 @@ def check_coordinated(
     Checking consecutive elements suffices: lengths are additive, so equal
     unit steps imply equal lengths for every closed subinterval.
     """
-    p_range = p_range or _full_range(p)
-    q_range = q_range or _full_range(q)
-    if not check_compatible(p, q, p_range, q_range):
+    maps = _direction_maps(p, q, p_range or _full_range(p), q_range or _full_range(q))
+    if not _compatible(maps):
         raise NotCompatibleError(
             f"chains {p.name!r} and {q.name!r} are not compatible over the "
             "inspected ranges"
         )
-    for src, dst, pairs in _direction_maps(p, q, p_range, q_range):
+    for src, dst, pairs in maps:
         for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
             src_step = src.values[i2] - src.values[i1]
             dst_step = dst.values[j2] - dst.values[j1]
@@ -354,10 +353,7 @@ def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> LinearRelation:
         raise NotLinearlyRelatedError(
             f"chain {s.name!r} has no steps to compare"
         )
-    images = []
-    for x in s.elements:
-        fwd, bwd = _primaries(x, p.chain)
-        images.append((p.value_of(fwd), p.value_of(bwd)))
+    images = [quantify_event(x, p) for x in s.elements]
 
     m: Fraction | None = None
     n: Fraction | None = None

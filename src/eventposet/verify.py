@@ -36,11 +36,12 @@ from .intervals import (
     pair,
 )
 from .poset import Poset
-from .projection import backward_project, forward_project
+from .projection import backward_project, forward_project, quantify_event
 from .spacetime import (
     PairTransform,
     apply_pair_transform,
     beta,
+    chain_separation,
     combine_projection_distances,
     compose_transforms,
     exact_sqrt,
@@ -361,11 +362,7 @@ def _check_two_vs_one_chain(lattice: Lattice) -> list[str]:
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             p, q = rest[a], rest[b]
-            between = [
-                x
-                for x in lattice.poset.events()
-                if _safe_betweenness(x, p, q) is Betweenness.BETWEEN
-            ]
+            between = _between_events(lattice, p, q)
             for xa in between:
                 for xb in between:
                     interval = GeneralizedInterval(xa, xb)
@@ -381,11 +378,16 @@ def _check_two_vs_one_chain(lattice: Lattice) -> list[str]:
     return bad
 
 
-def _safe_betweenness(x: int, p: ValuedChain, q: ValuedChain) -> Betweenness:
-    try:
-        return betweenness_of(x, p.chain, q.chain)
-    except MissingProjectionError:
-        return Betweenness.NONE
+def _between_events(lattice: Lattice, p: ValuedChain, q: ValuedChain) -> list[int]:
+    """Events between (P, Q), in event order; unclassifiable ones are not."""
+    between = []
+    for x in lattice.poset.events():
+        try:
+            if betweenness_of(x, p.chain, q.chain) is Betweenness.BETWEEN:
+                between.append(x)
+        except MissingProjectionError:
+            continue
+    return between
 
 
 def _check_scalar_invariance(lattice: Lattice) -> list[str]:
@@ -410,18 +412,15 @@ def _check_scalar_invariance(lattice: Lattice) -> list[str]:
                 bad.append(f"{name} vs {rest_name}: tick scalar not a perfect square")
                 continue
             transform = PairTransform(relation.m, relation.n)
+            coords = [quantify_event(x, p) for x in s.elements]
             for i in range(len(s)):
                 for j in range(i, len(s)):
                     self_pair = pair(
                         scale * (s.values[j] - s.values[i]),
                         scale * (s.values[j] - s.values[i]),
                     )
-                    fwd = p.value_of(forward_project(s.elements[j], p.chain)) - p.value_of(
-                        forward_project(s.elements[i], p.chain)
-                    )
-                    bwd = p.value_of(backward_project(s.elements[j], p.chain)) - p.value_of(
-                        backward_project(s.elements[i], p.chain)
-                    )
+                    fwd = coords[j][0] - coords[i][0]
+                    bwd = coords[j][1] - coords[i][1]
                     transported = apply_pair_transform(self_pair, transform)
                     if (transported.first, transported.second) != (fwd, bwd):
                         bad.append(
@@ -437,11 +436,7 @@ def _check_scalar_invariance(lattice: Lattice) -> list[str]:
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             p, q = rest[a], rest[b]
-            between = [
-                x
-                for x in lattice.poset.events()
-                if _safe_betweenness(x, p, q) is Betweenness.BETWEEN
-            ]
+            between = _between_events(lattice, p, q)
             for xa in between:
                 for xb in between:
                     interval = GeneralizedInterval(xa, xb)
@@ -459,7 +454,9 @@ def _check_sign_preservation(lattice: Lattice) -> list[str]:
     rest = _aligned_rest_chains(lattice)
     names = sorted(rest)
     chain_pairs = [
-        (rest[a], rest[b]) for i, a in enumerate(names) for b in names[i + 1 :]
+        (rest[a], rest[b], set(_between_events(lattice, rest[a], rest[b])))
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
     ]
     events = list(lattice.poset.events())
     for xa in events:
@@ -467,11 +464,8 @@ def _check_sign_preservation(lattice: Lattice) -> list[str]:
             if xa == xb:
                 continue
             kinds = set()
-            for p, q in chain_pairs:
-                if (
-                    _safe_betweenness(xa, p, q) is Betweenness.BETWEEN
-                    and _safe_betweenness(xb, p, q) is Betweenness.BETWEEN
-                ):
+            for p, q, between in chain_pairs:
+                if xa in between and xb in between:
                     kind = classify_interval(
                         interval_pair_two_chains(GeneralizedInterval(xa, xb), p, q)
                     ).kind
@@ -489,19 +483,10 @@ def _check_simplex(n_max: int = 8) -> list[str]:
         magnitudes = set()
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                found = None
-                for p_event in chains[a].elements:
-                    for q_event in chains[b].elements:
-                        try:
-                            found = abs(
-                                chain_distance(chains[a], chains[b], p_event, q_event)
-                            )
-                        except OutOfRangeError:
-                            continue
-                if found is None:
+                try:
+                    magnitudes.add(abs(chain_separation(chains[a], chains[b])))
+                except MissingProjectionError:
                     bad.append(f"simplex N={n}: no distance between {a}, {b}")
-                else:
-                    magnitudes.add(found)
         if len(magnitudes) != 1:
             bad.append(f"simplex N={n}: unequal distances {sorted(magnitudes)}")
         elif n == 3 and magnitudes != {Fraction(1)}:

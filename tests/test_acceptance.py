@@ -12,14 +12,12 @@ import pytest
 
 from eventposet import (
     Chain,
-    ClosedInterval,
     DegenerateTransformError,
     PairTransform,
     apply_pair_transform,
     backward_project,
     beta,
     chain_distance,
-    check_coordinated,
     combine_projection_distances,
     compose_transforms,
     forward_project,
@@ -27,7 +25,6 @@ from eventposet import (
     gamma,
     generate_random,
     generate_simplex,
-    interval_length,
     lorentz_apply,
     maximal_chains,
     minkowski_form,
@@ -39,6 +36,9 @@ from eventposet import (
 )
 from eventposet.cli import main as cli_main
 from eventposet.verify import (
+    _check_coordination,
+    _check_distance_constancy,
+    _check_length_additivity,
     _check_scalar_invariance,
     _check_sign_preservation,
     projection_lattice,
@@ -81,59 +81,21 @@ def test_criterion_01_projection_oracle_equivalence():
 
 
 def test_criterion_02_length_additivity_and_associativity():
-    lattice = standard_lattice(12, 12)
-    chain_set = list(lattice.chains.values())
+    chain_set = list(standard_lattice(12, 12).chains.values())
     _, simplex_chains = generate_simplex(4)
     chain_set.extend(simplex_chains.values())
-    for vc in chain_set:
-        n = len(vc)
-        for i in range(n):
-            for k in range(i, n):
-                whole = interval_length(ClosedInterval(vc, i, k))
-                for j in range(i, k + 1):
-                    left = interval_length(ClosedInterval(vc, i, j))
-                    right = interval_length(ClosedInterval(vc, j, k))
-                    assert left + right == whole
+    assert _check_length_additivity(chain_set) == []
     _report(2, "length-additivity-and-associativity")
 
 
 def test_criterion_03_coordination_of_rest_chains():
     for size in ((8, 8), (12, 12)):
-        lattice = standard_lattice(*size)
-        rest = [
-            lattice.chains[s.name]
-            for s in lattice.spec.chains
-            if s.du == s.dv and s.v0 == 0
-        ]
-        for i, p in enumerate(rest):
-            for q in rest[i + 1 :]:
-                assert check_coordinated(p, q)
-                assert check_coordinated(q, p)
-                doubled = q.revalued([2 * v for v in q.values])
-                assert not check_coordinated(p, doubled)
+        assert _check_coordination(standard_lattice(*size)) == []
     _report(3, "coordination-of-lattice-rest-chains")
 
 
 def test_criterion_04_distance_well_definedness():
-    lattice = standard_lattice(12, 12)
-    rest = [
-        lattice.chains[s.name]
-        for s in lattice.spec.chains
-        if s.du == s.dv and s.v0 == 0
-    ]
-    for i, p in enumerate(rest):
-        for q in rest[i + 1 :]:
-            values = set()
-            defined = 0
-            for a in p.elements:
-                for b in q.elements:
-                    try:
-                        values.add(chain_distance(p, q, a, b))
-                        defined += 1
-                    except Exception:
-                        continue
-            assert defined > 0
-            assert len(values) == 1
+    assert _check_distance_constancy(standard_lattice(12, 12)) == []
     _report(4, "chain-distance-well-definedness")
 
 

@@ -131,9 +131,14 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_unknown_chain_is_usage_error():
-    with pytest.raises(SystemExit):
-        main(["project", "--gen", "lattice:8,8", "--chain", "Z"])
+def test_unknown_chain_is_usage_error(capsys):
+    # Also an unknown generator and a missing source: usage errors found
+    # after parsing exit 2, like those argparse finds itself.
+    for source in (["--gen", "lattice:8,8"], ["--gen", "cube:3"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", *source, "--chain", "Z"])
+        assert exc.value.code == 2
+        assert "eventposet project: error:" in capsys.readouterr().err
 
 
 def test_domain_error_exits_1(capsys):
@@ -146,8 +151,51 @@ def test_domain_error_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+VERIFY_CHECK_NAMES = [
+    "order-axioms[lattice-8x8]",
+    "reduction-roundtrip[lattice-8x8]",
+    "order-axioms[lattice-12x12]",
+    "reduction-roundtrip[lattice-12x12]",
+    "order-axioms[random-0]",
+    "reduction-roundtrip[random-0]",
+    "order-axioms[random-1]",
+    "reduction-roundtrip[random-1]",
+    "order-axioms[random-2]",
+    "reduction-roundtrip[random-2]",
+    "projection-oracle[lattice-8x8]",
+    "projection-monotonicity[lattice-8x8]",
+    "projection-oracle[lattice-12x12]",
+    "projection-monotonicity[lattice-12x12]",
+    "projection-oracle[random-0]",
+    "projection-oracle[random-1]",
+    "projection-oracle[random-2]",
+    "interval-length-additivity",
+    "collinearity-uniqueness",
+    "collinearity-self-duality",
+    "coordination-rest-chains",
+    "linear-relation-detection",
+    "chain-distance-constancy",
+    "two-chain-vs-one-chain",
+    "scalar-invariance",
+    "sign-preservation",
+    "simplex-equal-distances",
+    "transform-layer",
+    "minkowski-identity",
+    "subspace-projection",
+    "text-roundtrip",
+]
+
+
 def test_verify_exits_zero(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+    # The check names are an interface: scripts select checks by them.
+    passed = [
+        line.removeprefix("[PASS] ")
+        for line in out.splitlines()
+        if line.startswith("[PASS] ")
+    ]
+    assert passed == VERIFY_CHECK_NAMES
+    assert out.splitlines()[-1] == "31/31 checks passed"

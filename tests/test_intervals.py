@@ -23,6 +23,7 @@ from eventposet import (
     interval_pair_two_chains,
     join_intervals,
     length_of_pair,
+    make_valued_chain,
     pair,
     split_at_artificial_event,
 )
@@ -331,3 +332,18 @@ def test_artificial_event_of_antisymmetric_interval_is_end(lattice12):
     a, b = lattice12.event(2, 1), lattice12.event(3, 0)
     p0, q0 = split_at_artificial_event(GeneralizedInterval(a, b), p, q)
     assert (p0, q0) == (Fraction(3), Fraction(0))  # projections of b
+
+
+@pytest.mark.parametrize(
+    "names", [("P", "Q"), ("", ""), ("X", "X")], ids=["named", "unnamed", "same-name"]
+)
+def test_artificial_event_ignores_chain_names(lattice12, names):
+    # The split is a property of the chains, not of their names: unnamed
+    # or equally named chains must give the same event as P, Q.
+    p, q = (
+        make_valued_chain(lattice12.poset, vc.elements, vc.values, name)
+        for vc, name in zip((lattice12.chains["P"], lattice12.chains["Q"]), names)
+    )
+    a, b = lattice12.event(1, 0), lattice12.event(5, 1)
+    p0, q0 = split_at_artificial_event(GeneralizedInterval(a, b), p, q)
+    assert (p0, q0) == (Fraction(5, 2), Fraction(-3, 2))

@@ -6,6 +6,7 @@ from eventposet import (
     Betweenness,
     Chain,
     CollinearityCase,
+    EventPosetError,
     IntervalPosition,
     LinearRelation,
     MissingProjectionError,
@@ -235,6 +236,43 @@ def test_coordinated_requires_compatible():
     lattice = generate_lattice(spec)
     with pytest.raises(NotCompatibleError):
         check_coordinated(lattice.chains["F"], lattice.chains["C"])
+
+
+def _windows(vc):
+    top, mid = len(vc) - 1, (len(vc) - 1) // 2
+    return (None, (0, mid), (mid, top), (top, top))
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except EventPosetError as exc:
+        return type(exc)
+
+
+def test_coordinated_fails_exactly_where_compatibility_does(lattice8):
+    # check_coordinated runs the compatibility test on its own maps; it must
+    # raise NotCompatibleError where check_compatible returns False and
+    # MissingProjectionError where check_compatible raises it.
+    expected = {
+        True: (True, False),
+        False: (NotCompatibleError,),
+        MissingProjectionError: (MissingProjectionError,),
+    }
+    seen = set()
+    chains = list(lattice8.chains.values())
+    for p in chains:
+        for q in chains:
+            for p_range in _windows(p):
+                for q_range in _windows(q):
+                    args = (p, q, p_range, q_range)
+                    compatible = _outcome(check_compatible, *args)
+                    coordinated = _outcome(check_coordinated, *args)
+                    assert coordinated in expected[compatible], (
+                        p.name, q.name, p_range, q_range, compatible, coordinated
+                    )
+                    seen.add(compatible)
+    assert seen == set(expected)
 
 
 def test_scoped_ranges_coordinate_interior_chain(lattice12):
