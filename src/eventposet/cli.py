@@ -7,8 +7,9 @@ Load a poset from the text format or generate one, then inspect it:
     eventposet transform --m 4 --n 1 --pair 2 2
     eventposet verify
 
-Usage errors exit with status 2 (argparse default), verification
-failures with 1.
+Exit status: 0 on success, 1 for a domain error or a failed
+verification, 2 for a usage error (bad argv, an unreadable file or a bad
+generator spec; reported with the subcommand's usage line).
 """
 from __future__ import annotations
 
@@ -60,27 +61,52 @@ class _UsageError(Exception):
 
 def _load(args) -> tuple[Poset, dict[str, ValuedChain]]:
     if args.input:
-        text = Path(args.input).read_text()
+        try:
+            text = Path(args.input).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _UsageError(f"cannot read --input: {exc}") from None
         return parse_poset_text(text)
     if args.gen:
-        kind, _, rest = args.gen.partition(":")
-        params = rest.split(",") if rest else []
-        if kind == "lattice":
-            if len(params) != 2:
-                raise _UsageError("--gen lattice takes U,V")
-            lattice = standard_lattice(int(params[0]), int(params[1]))
-            return lattice.poset, lattice.chains
-        if kind == "simplex":
-            if len(params) != 1:
-                raise _UsageError("--gen simplex takes N")
-            return generate_simplex(int(params[0]))
-        if kind == "random":
-            if len(params) != 3:
-                raise _UsageError("--gen random takes SEED,N,DENSITY")
-            poset = generate_random(int(params[0]), int(params[1]), float(params[2]))
-            return poset, {}
-        raise _UsageError(f"unknown generator {kind!r}")
+        try:
+            return _generate(args.gen)
+        except ValueError as exc:
+            raise _UsageError(f"--gen {args.gen}: {exc}") from None
     raise _UsageError("one of --input or --gen is required")
+
+
+def _generate(spec: str) -> tuple[Poset, dict[str, ValuedChain]]:
+    kind, _, rest = spec.partition(":")
+    params = rest.split(",") if rest else []
+    if kind == "lattice":
+        if len(params) != 2:
+            raise _UsageError("--gen lattice takes U,V")
+        lattice = standard_lattice(int(params[0]), int(params[1]))
+        return lattice.poset, lattice.chains
+    if kind == "simplex":
+        if len(params) != 1:
+            raise _UsageError("--gen simplex takes N")
+        return generate_simplex(int(params[0]))
+    if kind == "random":
+        if len(params) != 3:
+            raise _UsageError("--gen random takes SEED,N,DENSITY")
+        poset = generate_random(int(params[0]), int(params[1]), float(params[2]))
+        return poset, {}
+    raise _UsageError(f"unknown generator {kind!r}")
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out: {exc}") from None
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type for rationals such as ``3``, ``-3/2`` or ``0.5``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
 
 
 def _chain(chains: dict[str, ValuedChain], name: str) -> ValuedChain:
@@ -100,7 +126,7 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_build(args) -> int:
     poset, chains = _load(args)
     if args.out:
-        Path(args.out).write_text(format_poset_text(poset, chains))
+        _write_out(args.out, format_poset_text(poset, chains))
     print(f"events {poset.event_count}")
     print(f"cover edges {len(poset.cover_edges())}")
     for name in sorted(chains):
@@ -173,8 +199,8 @@ def _cmd_quantify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    transform = PairTransform(Fraction(args.m), Fraction(args.n))
-    source = pair(Fraction(args.pair[0]), Fraction(args.pair[1]))
+    transform = PairTransform(args.m, args.n)
+    source = pair(*args.pair)
     moved = apply_pair_transform(source, transform)
     matrix = lorentz_matrix(transform)
     print(f"pair' = {moved}")
@@ -185,7 +211,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_scalar(args) -> int:
-    source = pair(Fraction(args.pair[0]), Fraction(args.pair[1]))
+    source = pair(*args.pair)
     scalar = interval_scalar(source)
     sigma = scalar_length(source)
     _, dt2, dx2 = minkowski_form(source)
@@ -228,7 +254,7 @@ def _cmd_export(args) -> int:
     poset, chains = _load(args)
     text = export_dot(poset, chains, mode=args.mode)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -278,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     quantify.set_defaults(fn=_cmd_quantify)
 
     transform = sub.add_parser("transform", help="apply a pair transform")
-    transform.add_argument("--m", required=True)
-    transform.add_argument("--n", required=True)
-    transform.add_argument("--pair", nargs=2, required=True, metavar=("DP", "DQ"))
+    transform.add_argument("--m", type=_rational, required=True)
+    transform.add_argument("--n", type=_rational, required=True)
+    transform.add_argument("--pair", nargs=2, type=_rational, required=True, metavar=("DP", "DQ"))
     transform.set_defaults(fn=_cmd_transform)
     _accept_negative_rationals(transform)
 
     scalar = sub.add_parser("scalar", help="interval scalar of a pair")
-    scalar.add_argument("--pair", nargs=2, required=True, metavar=("DP", "DQ"))
+    scalar.add_argument("--pair", nargs=2, type=_rational, required=True, metavar=("DP", "DQ"))
     scalar.set_defaults(fn=_cmd_scalar)
     _accept_negative_rationals(scalar)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .chains import ValuedChain, make_valued_chain
 from .errors import ChainEscapesWindowError, EmptyWindowError
-from .poset import EventId, Poset, build_poset
+from .poset import EventId, Poset, _check_event_count, build_poset
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,7 @@ def generate_lattice(spec: LatticeSpec) -> Lattice:
     """
     if spec.u_max < 1 or spec.v_max < 1:
         raise EmptyWindowError(f"window {spec.u_max}x{spec.v_max} has no events")
+    _check_event_count(spec.u_max * spec.v_max)
 
     relations = []
     for u in range(spec.u_max):
@@ -153,6 +154,7 @@ def generate_simplex(spec: SimplexSpec | int) -> tuple[Poset, dict[str, ValuedCh
     if isinstance(spec, int):
         spec = SimplexSpec(spec)
     n = spec.n_chains
+    _check_event_count(2 * n)
     relations = [(j, n + i) for i in range(n) for j in range(n)]
     poset = build_poset(2 * n, relations)
     chains = {
@@ -171,6 +173,7 @@ def generate_random(seed: int, n_events: int, edge_density: float) -> Poset:
     """
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must be within [0, 1]")
+    _check_event_count(n_events)
     rng = random.Random(seed)
     order = list(range(n_events))
     rng.shuffle(order)

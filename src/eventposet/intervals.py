@@ -52,14 +52,14 @@ class IntervalPair:
     """Two-component quantification of an interval.
 
     Components are exact rationals except downstream of an inexact pair
-    transform, where they may be floats. ``chains`` names the quantifying
-    chain(s), when known.
+    transform, where they may be floats. ``chains`` holds the quantifying
+    chain(s), when known; they are compared as chains, not by name.
     """
 
     first: Fraction | float
     second: Fraction | float
     basis: PairBasis = PairBasis.TWO_CHAIN
-    chains: tuple[str, ...] = ()
+    chains: tuple[ValuedChain, ...] = ()
 
     def __post_init__(self):
         if not isinstance(self.first, float):
@@ -114,10 +114,10 @@ def interval_pair_one_chain(
     straddles = _on_p_side(side_a) != _on_p_side(side_b)
     if straddles:
         return IntervalPair(
-            fb - ba, bb - fa, PairBasis.ONE_CHAIN_STRADDLE, (p.name,)
+            fb - ba, bb - fa, PairBasis.ONE_CHAIN_STRADDLE, (p,)
         )
     return IntervalPair(
-        fb - fa, bb - ba, PairBasis.ONE_CHAIN_SAME_SIDE, (p.name,)
+        fb - fa, bb - ba, PairBasis.ONE_CHAIN_SAME_SIDE, (p,)
     )
 
 
@@ -181,7 +181,7 @@ def interval_pair_two_chains(
 ) -> IntervalPair:
     """Quantify by forward projections onto two coordinated chains."""
     pa, pb, qa, qb = _two_chain_images(interval, p, q)
-    return IntervalPair(pb - pa, qb - qa, PairBasis.TWO_CHAIN, (p.name, q.name))
+    return IntervalPair(pb - pa, qb - qa, PairBasis.TWO_CHAIN, (p, q))
 
 
 def length_of_pair(p: IntervalPair) -> Fraction:
@@ -254,6 +254,11 @@ def classify_interval(p: IntervalPair) -> IntervalClassification:
     )
 
 
+def _chain_names(p: IntervalPair) -> tuple[str, ...]:
+    # A chain tag given as a bare label prints as itself.
+    return tuple(getattr(c, "name", c) for c in p.chains)
+
+
 def join_intervals(
     first: GeneralizedInterval,
     first_pair: IntervalPair,
@@ -273,7 +278,8 @@ def join_intervals(
     if first_pair.basis is not second_pair.basis or first_pair.chains != second_pair.chains:
         raise BasisMismatchError(
             f"cannot add pairs quantified in bases {first_pair.basis.value} "
-            f"{first_pair.chains} and {second_pair.basis.value} {second_pair.chains}"
+            f"{_chain_names(first_pair)} and {second_pair.basis.value} "
+            f"{_chain_names(second_pair)}"
         )
     joined = GeneralizedInterval(first.a, second.b)
     summed = IntervalPair(

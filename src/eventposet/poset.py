@@ -141,6 +141,16 @@ def _find_cycle(adjacency: list[list[int]], candidates: Iterable[int]) -> list[i
     raise AssertionError("no cycle found among candidate events")
 
 
+def _check_event_count(event_count: int, max_events: int = DEFAULT_MAX_EVENTS) -> None:
+    """Raise ValueError unless ``0 <= event_count <= max_events``."""
+    if event_count < 0:
+        raise ValueError("event_count must be non-negative")
+    if event_count > max_events:
+        raise ValueError(
+            f"event_count {event_count} exceeds the cap of {max_events} events"
+        )
+
+
 def build_poset(
     event_count: int,
     relations: Iterable[tuple[EventId, EventId]],
@@ -159,12 +169,7 @@ def build_poset(
             the exception names a witness cycle.
         ValueError: ``event_count`` is negative or above ``max_events``.
     """
-    if event_count < 0:
-        raise ValueError("event_count must be non-negative")
-    if event_count > max_events:
-        raise ValueError(
-            f"event_count {event_count} exceeds the cap of {max_events} events"
-        )
+    _check_event_count(event_count, max_events)
 
     adjacency: list[list[int]] = [[] for _ in range(event_count)]
     seen: set[tuple[int, int]] = set()

@@ -9,7 +9,9 @@ dx = (first - second)/2 is a Lorentz boost with beta = (m - n)/(m + n).
 
 Results stay exact rationals whenever the needed square roots are exact
 (the lattice generators are arranged so they are); otherwise values fall
-back to floats with a 1e-12 accuracy contract.
+back to floats with a 1e-12 accuracy contract. The one exact-or-float
+decision is :func:`_sqrt`; Python's mixed ``Fraction``/``float``
+arithmetic carries a float root, or a float input, through the rest.
 """
 from __future__ import annotations
 
@@ -116,6 +118,12 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+def _sqrt(value: Fraction | float) -> Fraction | float:
+    """Exact root of a rational square, else the float root."""
+    root = exact_sqrt(value) if isinstance(value, Fraction) else None
+    return root if root is not None else math.sqrt(float(value))
+
+
 def interval_scalar(p: IntervalPair) -> ScalarResult:
     """Product of the pair components, with its causal character."""
     value = p.first * p.second
@@ -127,11 +135,7 @@ def scalar_length(p: IntervalPair) -> ScalarLength:
     product = p.first * p.second
     imaginary = product < 0
     magnitude = -product if imaginary else product
-    if isinstance(magnitude, Fraction):
-        root = exact_sqrt(magnitude)
-        if root is not None:
-            return ScalarLength(root, imaginary)
-    return ScalarLength(math.sqrt(float(magnitude)), imaginary)
+    return ScalarLength(_sqrt(magnitude), imaginary)
 
 
 def minkowski_form(p: IntervalPair) -> tuple[Fraction, Fraction, Fraction]:
@@ -141,24 +145,14 @@ def minkowski_form(p: IntervalPair) -> tuple[Fraction, Fraction, Fraction]:
     return p.first * p.second, dt * dt, dx * dx
 
 
-def _sqrt_ratio(t: PairTransform) -> Fraction | float:
-    """sqrt(m/n), exact when possible."""
-    ratio = t.m / t.n
-    root = exact_sqrt(ratio)
-    return root if root is not None else math.sqrt(float(ratio))
-
-
 def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
     """Rescale components by sqrt(m/n) and sqrt(n/m).
 
     The reciprocal factors preserve the interval scalar: exactly when m/n
     is a rational square, to 1e-12 otherwise.
     """
-    factor = _sqrt_ratio(t)
-    if isinstance(factor, Fraction) and not isinstance(p.first, float) and not isinstance(p.second, float):
-        return IntervalPair(p.first * factor, p.second / factor, p.basis, p.chains)
-    factor = float(factor)
-    return IntervalPair(float(p.first) * factor, float(p.second) / factor, p.basis, p.chains)
+    factor = _sqrt(t.m / t.n)
+    return IntervalPair(p.first * factor, p.second / factor, p.basis, p.chains)
 
 
 def beta(t: PairTransform) -> Fraction:
@@ -169,11 +163,7 @@ def beta(t: PairTransform) -> Fraction:
 def gamma(t: PairTransform) -> Fraction | float:
     """1 / sqrt(1 - beta^2) = (m + n) / (2 sqrt(mn))."""
     b = beta(t)
-    radicand = 1 - b * b
-    root = exact_sqrt(radicand)
-    if root is not None:
-        return 1 / root
-    return 1.0 / math.sqrt(float(radicand))
+    return 1 / _sqrt(1 - b * b)
 
 
 def lorentz_matrix(
@@ -187,8 +177,7 @@ def lorentz_matrix(
     off-diagonal. The opposite sign belongs to the inverse transform.
     """
     g = gamma(t)
-    b = beta(t)
-    bg = g * b if isinstance(g, Fraction) else g * float(b)
+    bg = g * beta(t)
     return ((g, bg), (bg, g))
 
 
@@ -206,18 +195,9 @@ def from_coords(coords: SpacetimeCoords) -> IntervalPair:
 
 
 def lorentz_apply(coords: SpacetimeCoords, t: PairTransform) -> SpacetimeCoords:
-    """Boost the coordinates; identical to the pair-transform route."""
-    g = gamma(t)
-    b = beta(t)
-    if isinstance(g, Fraction) and not isinstance(coords.dt, float) and not isinstance(coords.dx, float):
-        return SpacetimeCoords(
-            g * (coords.dt + b * coords.dx),
-            g * (coords.dx + b * coords.dt),
-        )
-    g = float(g)
-    bf = float(b)
-    dt, dx = float(coords.dt), float(coords.dx)
-    return SpacetimeCoords(g * (dt + bf * dx), g * (dx + bf * dt))
+    """Boost by :func:`lorentz_matrix`; identical to the pair-transform route."""
+    (g, bg), _ = lorentz_matrix(t)
+    return SpacetimeCoords(g * coords.dt + bg * coords.dx, bg * coords.dt + g * coords.dx)
 
 
 def pythagorean_join(

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .chains import ValuedChain, make_valued_chain
 from .errors import FormatError
-from .poset import Poset, build_poset
+from .poset import Poset, _check_event_count, build_poset
 
 
 def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
@@ -36,6 +36,10 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
             if len(tokens) != 2:
                 raise FormatError(f"line {lineno}: expected 'events N'")
             event_count = _parse_int(tokens[1], lineno)
+            try:
+                _check_event_count(event_count)
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
         elif keyword == "rel":
             if event_count is None:
                 raise FormatError(f"line {lineno}: 'rel' before 'events' header")

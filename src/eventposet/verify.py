@@ -11,7 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import combinations
+from typing import Callable, Iterable, Iterator
 
 from .chains import Chain, ClosedInterval, ValuedChain, interval_length
 from .errors import EventPosetError, MissingProjectionError, OutOfRangeError
@@ -28,6 +29,7 @@ from .generators import (
 from .intervals import (
     GeneralizedInterval,
     IntervalKind,
+    IntervalPair,
     chain_distance,
     classify_interval,
     decompose,
@@ -35,7 +37,7 @@ from .intervals import (
     interval_pair_two_chains,
     pair,
 )
-from .poset import Poset
+from .poset import Poset, _iter_bits
 from .projection import backward_project, forward_project, quantify_event
 from .spacetime import (
     PairTransform,
@@ -102,14 +104,6 @@ def projection_lattice() -> Lattice:
     return generate_lattice(spec)
 
 
-def _rest_chains(lattice: Lattice) -> dict[str, ValuedChain]:
-    rest = {}
-    for spec in lattice.spec.chains:
-        if spec.du == spec.dv:
-            rest[spec.name] = lattice.chains[spec.name]
-    return rest
-
-
 def _aligned_rest_chains(lattice: Lattice) -> dict[str, ValuedChain]:
     """Rest chains starting on the window's past edge.
 
@@ -132,11 +126,7 @@ def _check_order_axioms(poset: Poset) -> list[str]:
     bad = []
     for x in poset.events():
         above_x = poset.above_bits(x)
-        mask = above_x
-        while mask:
-            low = mask & -mask
-            y = low.bit_length() - 1
-            mask ^= low
+        for y in _iter_bits(above_x):
             if poset.above_bits(y) & ~above_x:
                 bad.append(f"transitivity broken at {x} <= {y}")
             if y != x and poset.leq(y, x):
@@ -174,11 +164,7 @@ def _check_projection_monotone(poset: Poset, chains: Iterable[Chain]) -> list[st
             fx, bx = forwards[x], backwards[x]
             if fx is not None and bx is not None and not poset.leq(bx, fx):
                 bad.append(f"projection sandwich broken at {x} on {chain.name!r}")
-            mask = poset.above_bits(x)
-            while mask:
-                low = mask & -mask
-                y = low.bit_length() - 1
-                mask ^= low
+            for y in _iter_bits(poset.above_bits(x)):
                 fy, by = forwards[y], backwards[y]
                 if fx is not None and fy is not None and not poset.leq(fx, fy):
                     bad.append(f"forward monotonicity broken at {x} <= {y}")
@@ -192,34 +178,31 @@ def _check_collinearity_unique(lattice: Lattice) -> list[str]:
     # "between" and that chain's side, and genuinely satisfy both identity
     # blocks; the uniqueness claim is about elements off the chains.
     bad = []
-    names = sorted(lattice.chains)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            p, q = lattice.chains[a], lattice.chains[b]
-            on_chain = set(p.elements) | set(q.elements)
-            if set(p.elements) & set(q.elements):
-                # Intersecting chains degenerate the same way: projections
-                # landing on a shared element satisfy two identity blocks.
+    for a, b in combinations(sorted(lattice.chains), 2):
+        p, q = lattice.chains[a], lattice.chains[b]
+        on_chain = set(p.elements) | set(q.elements)
+        if set(p.elements) & set(q.elements):
+            # Intersecting chains degenerate the same way: projections
+            # landing on a shared element satisfy two identity blocks.
+            continue
+        for x in lattice.poset.events():
+            if x in on_chain:
                 continue
-            for x in lattice.poset.events():
-                if x in on_chain:
-                    continue
-                try:
-                    matched = matching_cases(x, p.chain, q.chain)
-                except MissingProjectionError:
-                    continue
-                if len(matched) > 1:
-                    bad.append(
-                        f"event {x} matches cases "
-                        f"{[c.value for c in matched]} against {a}, {b}"
-                    )
+            try:
+                matched = matching_cases(x, p.chain, q.chain)
+            except MissingProjectionError:
+                continue
+            if len(matched) > 1:
+                bad.append(
+                    f"event {x} matches cases "
+                    f"{[c.value for c in matched]} against {a}, {b}"
+                )
     return bad
 
 
 def _check_self_duality(lattice: Lattice) -> list[str]:
     bad = []
     reversed_poset = lattice.poset.reverse()
-    names = sorted(lattice.chains)
     swap = {
         CollinearityCase.I: CollinearityCase.I,
         CollinearityCase.II: CollinearityCase.II,
@@ -228,25 +211,24 @@ def _check_self_duality(lattice: Lattice) -> list[str]:
         CollinearityCase.V: CollinearityCase.IV,
         CollinearityCase.NOT_COLLINEAR: CollinearityCase.NOT_COLLINEAR,
     }
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            p, q = lattice.chains[a], lattice.chains[b]
-            p_rev = Chain(reversed_poset, p.elements[::-1], p.name)
-            q_rev = Chain(reversed_poset, q.elements[::-1], q.name)
-            for x in lattice.poset.events():
-                try:
-                    direct = matching_cases(x, p.chain, q.chain)
-                    dual = matching_cases(x, p_rev, q_rev)
-                except MissingProjectionError:
-                    continue
-                got = dual[0] if dual else CollinearityCase.NOT_COLLINEAR
-                want = swap[direct[0] if direct else CollinearityCase.NOT_COLLINEAR]
-                if want in (CollinearityCase.I, CollinearityCase.II, CollinearityCase.III):
-                    if got is not want:
-                        bad.append(
-                            f"event {x} flips from {want.value} to {got.value} "
-                            f"under order reversal against {a}, {b}"
-                        )
+    for a, b in combinations(sorted(lattice.chains), 2):
+        p, q = lattice.chains[a], lattice.chains[b]
+        p_rev = Chain(reversed_poset, p.elements[::-1], p.name)
+        q_rev = Chain(reversed_poset, q.elements[::-1], q.name)
+        for x in lattice.poset.events():
+            try:
+                direct = matching_cases(x, p.chain, q.chain)
+                dual = matching_cases(x, p_rev, q_rev)
+            except MissingProjectionError:
+                continue
+            got = dual[0] if dual else CollinearityCase.NOT_COLLINEAR
+            want = swap[direct[0] if direct else CollinearityCase.NOT_COLLINEAR]
+            if want in (CollinearityCase.I, CollinearityCase.II, CollinearityCase.III):
+                if got is not want:
+                    bad.append(
+                        f"event {x} flips from {want.value} to {got.value} "
+                        f"under order reversal against {a}, {b}"
+                    )
     return bad
 
 
@@ -268,22 +250,20 @@ def _check_length_additivity(chains: Iterable[ValuedChain]) -> list[str]:
 def _check_coordination(lattice: Lattice) -> list[str]:
     bad = []
     rest = _aligned_rest_chains(lattice)
-    names = sorted(rest)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            try:
-                if not check_coordinated(rest[a], rest[b]):
-                    bad.append(f"rest chains {a}, {b} not coordinated")
-                if not check_coordinated(rest[b], rest[a]):
-                    bad.append(f"coordination not symmetric for {a}, {b}")
-            except EventPosetError as exc:
-                bad.append(f"coordination check failed for {a}, {b}: {exc}")
-            doubled = rest[b].revalued([2 * v for v in rest[b].values])
-            try:
-                if check_coordinated(rest[a], doubled):
-                    bad.append(f"double-rate revaluation of {b} still coordinated")
-            except EventPosetError:
-                pass
+    for a, b in combinations(sorted(rest), 2):
+        try:
+            if not check_coordinated(rest[a], rest[b]):
+                bad.append(f"rest chains {a}, {b} not coordinated")
+            if not check_coordinated(rest[b], rest[a]):
+                bad.append(f"coordination not symmetric for {a}, {b}")
+        except EventPosetError as exc:
+            bad.append(f"coordination check failed for {a}, {b}: {exc}")
+        doubled = rest[b].revalued([2 * v for v in rest[b].values])
+        try:
+            if check_coordinated(rest[a], doubled):
+                bad.append(f"double-rate revaluation of {b} still coordinated")
+        except EventPosetError:
+            pass
     # An interior rest chain coordinates over scoped ranges: the early
     # neighbors piling onto its first element are excluded by the window.
     if "T" in lattice.chains and "P" in rest:
@@ -337,44 +317,19 @@ def _check_linear_relation(lattice: Lattice) -> list[str]:
 def _check_distance_constancy(lattice: Lattice) -> list[str]:
     bad = []
     rest = _aligned_rest_chains(lattice)
-    names = sorted(rest)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            p, q = rest[a], rest[b]
-            seen: set[Fraction] = set()
-            for p_event in p.elements:
-                for q_event in q.elements:
-                    try:
-                        seen.add(chain_distance(p, q, p_event, q_event))
-                    except OutOfRangeError:
-                        continue
-            if len(seen) > 1:
-                bad.append(f"distance between {a}, {b} varies: {sorted(seen)}")
-            if not seen:
-                bad.append(f"distance between {a}, {b} never defined")
-    return bad
-
-
-def _check_two_vs_one_chain(lattice: Lattice) -> list[str]:
-    bad = []
-    rest = _aligned_rest_chains(lattice)
-    names = sorted(rest)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            p, q = rest[a], rest[b]
-            between = _between_events(lattice, p, q)
-            for xa in between:
-                for xb in between:
-                    interval = GeneralizedInterval(xa, xb)
-                    two = interval_pair_two_chains(interval, p, q)
-                    one = interval_pair_one_chain(
-                        interval, p, Betweenness.BETWEEN, Betweenness.BETWEEN
-                    )
-                    if (two.first, two.second) != (one.first, one.second):
-                        bad.append(
-                            f"[{xa},{xb}] splits {a},{b}: two-chain {two} vs "
-                            f"one-chain {one}"
-                        )
+    for a, b in combinations(sorted(rest), 2):
+        p, q = rest[a], rest[b]
+        seen: set[Fraction] = set()
+        for p_event in p.elements:
+            for q_event in q.elements:
+                try:
+                    seen.add(chain_distance(p, q, p_event, q_event))
+                except OutOfRangeError:
+                    continue
+        if len(seen) > 1:
+            bad.append(f"distance between {a}, {b} varies: {sorted(seen)}")
+        if not seen:
+            bad.append(f"distance between {a}, {b} never defined")
     return bad
 
 
@@ -388,6 +343,33 @@ def _between_events(lattice: Lattice, p: ValuedChain, q: ValuedChain) -> list[in
         except MissingProjectionError:
             continue
     return between
+
+
+def _two_chain_pairs(
+    lattice: Lattice,
+) -> Iterator[tuple[str, str, ValuedChain, ValuedChain, GeneralizedInterval, IntervalPair]]:
+    """``(a, b, p, q, interval, two_chain_pair)`` for every interval between
+    each pair of aligned rest chains; the one-chain partner is the caller's."""
+    rest = _aligned_rest_chains(lattice)
+    for a, b in combinations(sorted(rest), 2):
+        p, q = rest[a], rest[b]
+        between = _between_events(lattice, p, q)
+        for xa in between:
+            for xb in between:
+                interval = GeneralizedInterval(xa, xb)
+                yield a, b, p, q, interval, interval_pair_two_chains(interval, p, q)
+
+
+def _check_two_vs_one_chain(lattice: Lattice) -> list[str]:
+    bad = []
+    for a, b, p, _, interval, two in _two_chain_pairs(lattice):
+        one = interval_pair_one_chain(interval, p, Betweenness.BETWEEN, Betweenness.BETWEEN)
+        if (two.first, two.second) != (one.first, one.second):
+            bad.append(
+                f"[{interval.a},{interval.b}] splits {a},{b}: two-chain {two} vs "
+                f"one-chain {one}"
+            )
+    return bad
 
 
 def _check_scalar_invariance(lattice: Lattice) -> list[str]:
@@ -432,31 +414,19 @@ def _check_scalar_invariance(lattice: Lattice) -> list[str]:
                             f"{name}[{i}:{j}] scalar differs from {rest_name}'s"
                         )
     # Rest-chain pairs quantify every shared interval identically.
-    names = sorted(rest)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            p, q = rest[a], rest[b]
-            between = _between_events(lattice, p, q)
-            for xa in between:
-                for xb in between:
-                    interval = GeneralizedInterval(xa, xb)
-                    left = interval_pair_two_chains(interval, p, q)
-                    right = interval_pair_one_chain(
-                        interval, q, Betweenness.BETWEEN, Betweenness.BETWEEN
-                    )
-                    if left.first * left.second != right.first * right.second:
-                        bad.append(f"scalar of [{xa},{xb}] differs between {a} and {b}")
+    for a, b, _, q, interval, left in _two_chain_pairs(lattice):
+        right = interval_pair_one_chain(interval, q, Betweenness.BETWEEN, Betweenness.BETWEEN)
+        if left.first * left.second != right.first * right.second:
+            bad.append(f"scalar of [{interval.a},{interval.b}] differs between {a} and {b}")
     return bad
 
 
 def _check_sign_preservation(lattice: Lattice) -> list[str]:
     bad = []
     rest = _aligned_rest_chains(lattice)
-    names = sorted(rest)
     chain_pairs = [
         (rest[a], rest[b], set(_between_events(lattice, rest[a], rest[b])))
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
+        for a, b in combinations(sorted(rest), 2)
     ]
     events = list(lattice.poset.events())
     for xa in events:
@@ -479,14 +449,12 @@ def _check_simplex(n_max: int = 8) -> list[str]:
     bad = []
     for n in range(2, n_max + 1):
         _, chains = generate_simplex(n)
-        names = sorted(chains)
         magnitudes = set()
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                try:
-                    magnitudes.add(abs(chain_separation(chains[a], chains[b])))
-                except MissingProjectionError:
-                    bad.append(f"simplex N={n}: no distance between {a}, {b}")
+        for a, b in combinations(sorted(chains), 2):
+            try:
+                magnitudes.add(abs(chain_separation(chains[a], chains[b])))
+            except MissingProjectionError:
+                bad.append(f"simplex N={n}: no distance between {a}, {b}")
         if len(magnitudes) != 1:
             bad.append(f"simplex N={n}: unequal distances {sorted(magnitudes)}")
         elif n == 3 and magnitudes != {Fraction(1)}:

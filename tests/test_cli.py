@@ -141,6 +141,39 @@ def test_unknown_chain_is_usage_error(capsys):
         assert "eventposet project: error:" in capsys.readouterr().err
 
 
+# argv that used to end in a Python traceback. "FILE" stands for a file
+# holding the given text, or for a missing file when the text is None.
+BAD_INPUTS = [
+    ("gen-not-int", ["project", "--gen", "lattice:a,3", "--chain", "P"], None, 2),
+    ("gen-over-cap", ["build", "--gen", "random:1,5000,0.1"], None, 2),
+    ("gen-negative", ["build", "--gen", "simplex:-1"], None, 2),
+    ("m-not-rational", ["transform", "--m", "abc", "--n", "1", "--pair", "1", "1"], None, 2),
+    ("m-zero-denominator", ["transform", "--m", "1/0", "--n", "1", "--pair", "1", "1"], None, 2),
+    ("pair-not-rational", ["scalar", "--pair", "1", "x"], None, 2),
+    ("input-missing", ["build", "--input", "FILE"], None, 2),
+    ("header-negative", ["build", "--input", "FILE"], "events -1\n", 1),
+    ("header-over-cap", ["build", "--input", "FILE"], "events 5000\n", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, code", [row[1:] for row in BAD_INPUTS], ids=[row[0] for row in BAD_INPUTS]
+)
+def test_bad_input_exit_codes(tmp_path, capsys, argv, text, code):
+    path = tmp_path / "poset.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"usage: eventposet {argv[0]}" in capsys.readouterr().err
+    else:
+        assert main(argv) == 1
+        assert "error: line 1:" in capsys.readouterr().err
+
+
 def test_domain_error_exits_1(capsys):
     # Event 54 = (4, 6) sits beyond P, away from Q: not between the pair.
     code = main([

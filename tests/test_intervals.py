@@ -83,7 +83,7 @@ def test_two_chain_quantification(lattice12):
     got = interval_pair_two_chains(interval, p, q)
     assert (got.first, got.second) == (Fraction(3), Fraction(1))
     assert got.basis is PairBasis.TWO_CHAIN
-    assert got.chains == ("P", "Q")
+    assert got.chains == (p, q)
 
 
 def test_two_chain_degenerate(lattice12):
@@ -347,3 +347,24 @@ def test_artificial_event_ignores_chain_names(lattice12, names):
     a, b = lattice12.event(1, 0), lattice12.event(5, 1)
     p0, q0 = split_at_artificial_event(GeneralizedInterval(a, b), p, q)
     assert (p0, q0) == (Fraction(5, 2), Fraction(-3, 2))
+
+
+@pytest.mark.parametrize(
+    "names", [("P", "Q"), ("", ""), ("X", "X")], ids=["named", "unnamed", "same-name"]
+)
+def test_join_refuses_pairs_on_different_chains(lattice12, names):
+    # Pairs quantified by different chains describe different subspaces,
+    # whatever the chains are called; pairs on one chain still add.
+    p, q = (
+        make_valued_chain(lattice12.poset, vc.elements, vc.values, name)
+        for vc, name in zip((lattice12.chains["P"], lattice12.chains["Q"]), names)
+    )
+    first = GeneralizedInterval(lattice12.event(3, 1), lattice12.event(4, 2))
+    second = GeneralizedInterval(lattice12.event(4, 2), lattice12.event(5, 3))
+    on_p = interval_pair_one_chain(first, p, BETWEEN, BETWEEN)
+    with pytest.raises(BasisMismatchError):
+        join_intervals(first, on_p, second, interval_pair_one_chain(second, q, BETWEEN, BETWEEN))
+    _, joined = join_intervals(
+        first, on_p, second, interval_pair_one_chain(second, p, BETWEEN, BETWEEN)
+    )
+    assert (joined.first, joined.second) == (Fraction(2), Fraction(2))

@@ -350,3 +350,100 @@ def test_exact_sqrt():
     assert exact_sqrt(Fraction(2)) is None
     assert exact_sqrt(Fraction(-4)) is None
     assert exact_sqrt(Fraction(0)) == 0
+
+
+# The exact-or-float contract: a result is a Fraction exactly when the
+# square root it needs is rational and its inputs are exact; otherwise it
+# is the float that the plain float formula gives.
+SQUARE_ROOT = PairTransform(9, 4)  # sqrt(m/n) = 3/2, gamma = 13/12
+IRRATIONAL_ROOT = PairTransform(5, 2)
+INPUTS = {
+    "fraction": (Fraction(-9, 4), Fraction(7, 3)),
+    "float": (-2.25, 7 / 3),
+    "mixed": (Fraction(-9, 4), 7 / 3),
+}
+
+
+def _float_factor(t):
+    ratio = t.m / t.n
+    root = exact_sqrt(ratio)
+    return float(root) if root is not None else math.sqrt(float(ratio))
+
+
+def _float_gamma(t):
+    b = beta(t)
+    return 1.0 / math.sqrt(float(1 - b * b))
+
+
+def _is_float(value, reference):
+    return type(value) is float and value.hex() == reference.hex()
+
+
+@pytest.mark.parametrize("inputs", sorted(INPUTS))
+@pytest.mark.parametrize("t", [SQUARE_ROOT, IRRATIONAL_ROOT], ids=["square", "irrational"])
+def test_transform_exact_or_float(t, inputs):
+    first, second = INPUTS[inputs]
+    rational = t is SQUARE_ROOT
+    moved = apply_pair_transform(pair(first, second), t)
+    factor = _float_factor(t)
+    for got, component, want in (
+        (moved.first, first, lambda: float(first) * factor),
+        (moved.second, second, lambda: float(second) / factor),
+    ):
+        if rational and isinstance(component, Fraction):
+            assert type(got) is Fraction
+        else:
+            assert _is_float(got, want())
+    if rational and inputs == "fraction":
+        assert (moved.first, moved.second) == (Fraction(-27, 8), Fraction(14, 9))
+
+    g = gamma(t)
+    (g00, bg01), (bg10, g11) = lorentz_matrix(t)
+    if rational:
+        assert (g, g00, g11, bg01, bg10) == (
+            Fraction(13, 12), Fraction(13, 12), Fraction(13, 12),
+            Fraction(5, 12), Fraction(5, 12),
+        )
+        assert all(type(v) is Fraction for v in (g, g00, g11, bg01, bg10))
+    else:
+        want_g = _float_gamma(t)
+        want_bg = want_g * float(beta(t))
+        assert all(_is_float(v, want_g) for v in (g, g00, g11))
+        assert all(_is_float(v, want_bg) for v in (bg01, bg10))
+
+    dt, dx = (first + second) / 2, (first - second) / 2
+    boosted = lorentz_apply(SpacetimeCoords(dt, dx), t)
+    if rational and inputs == "fraction":
+        assert type(boosted.dt) is Fraction and type(boosted.dx) is Fraction
+        assert (boosted.dt, boosted.dx) == (Fraction(13, 12) * dt + Fraction(5, 12) * dx,
+                                            Fraction(5, 12) * dt + Fraction(13, 12) * dx)
+    else:
+        gf, bf = float(g), float(beta(t))
+        for got, want in (
+            (boosted.dt, gf * (float(dt) + bf * float(dx))),
+            (boosted.dx, gf * (float(dx) + bf * float(dt))),
+        ):
+            assert type(got) is float
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("inputs", ["fraction", "float"])
+@pytest.mark.parametrize(
+    "components, root, imaginary",
+    [
+        ((Fraction(-9, 4), Fraction(1)), Fraction(3, 2), True),
+        ((Fraction(2), Fraction(1)), None, False),
+        ((Fraction(-5, 3), Fraction(1, 2)), None, True),
+    ],
+    ids=["square", "irrational", "irrational-imaginary"],
+)
+def test_scalar_length_exact_or_float(components, root, imaginary, inputs):
+    if inputs == "float":
+        components = tuple(float(c) for c in components)
+    got = scalar_length(pair(*components))
+    assert got.imaginary is imaginary
+    if root is not None and inputs == "fraction":
+        assert type(got.value) is Fraction and got.value == root
+    else:
+        magnitude = abs(components[0] * components[1])
+        assert _is_float(got.value, math.sqrt(float(magnitude)))
