@@ -9,7 +9,7 @@ its endpoint values and is additive under joins.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
@@ -34,11 +34,18 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class Chain:
-    """Strictly increasing, non-empty run of events in a poset."""
+    """Strictly increasing, non-empty run of events in a poset.
+
+    The private fields are caches: the position of each element, and the
+    projection table that :mod:`eventposet.projection` builds on first use.
+    They take no part in equality, hashing or ``repr``.
+    """
 
     poset: Poset
     elements: tuple[EventId, ...]
     name: str = ""
+    _positions: dict[EventId, int] = field(init=False, compare=False, repr=False)
+    _projections: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -53,14 +60,17 @@ class Chain:
                     f"elements {a} and {b} at positions {i},{i + 1} are not "
                     "strictly increasing"
                 )
+        positions = {event: i for i, event in enumerate(self.elements)}
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, event: EventId) -> int | None:
+        """Position of ``event`` on the chain, or None off it."""
         try:
-            return self.elements.index(event)
-        except ValueError:
+            return self._positions.get(event)
+        except TypeError:  # unhashable, so not an element
             return None
 
     def subchain(self, lo: int, hi: int, name: str = "") -> "Chain":

@@ -14,6 +14,7 @@ generator spec; reported with the subcommand's usage line).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -80,7 +81,10 @@ def _generate(spec: str) -> tuple[Poset, dict[str, ValuedChain]]:
     if kind == "lattice":
         if len(params) != 2:
             raise _UsageError("--gen lattice takes U,V")
-        lattice = standard_lattice(int(params[0]), int(params[1]))
+        u, v = int(params[0]), int(params[1])
+        if u < 1 or v < 1:
+            raise _UsageError(f"--gen {spec}: lattice sizes must be positive")
+        lattice = standard_lattice(u, v)
         return lattice.poset, lattice.chains
     if kind == "simplex":
         if len(params) != 1:
@@ -340,7 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (``| head``). Point stdout at devnull so the
+        # flush at exit does not fail again, as Python's signal docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         args.usage_error(str(exc))
     except EventPosetError as exc:

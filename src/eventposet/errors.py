@@ -35,7 +35,7 @@ class NotAdjacentError(EventPosetError):
 
 
 class DifferentChainsError(EventPosetError):
-    """Closed intervals live on different valued chains."""
+    """Operands live on different chains, or chains on different posets."""
 
 
 class MissingProjectionError(EventPosetError):

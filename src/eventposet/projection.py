@@ -6,9 +6,10 @@ included by ``x``. Both maps are partial: an absent projection is a
 first-class ``None`` result, not an error, because elements outside the
 chain's reach simply cannot be quantified from it.
 
-Inclusion of ``x`` by chain elements is upward-closed along the chain and
-inclusion of chain elements by ``x`` is downward-closed, so both
-projections are found by binary search with O(1) closure tests.
+The first projection onto a chain computes both projections of every
+event at once from the poset's closure rows (see ``_build_table``) and
+caches that table on the chain; a query then validates its id and reads
+the table.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .chains import Chain, ValuedChain
 from .errors import NotQuantifiableError
-from .poset import EventId
+from .poset import EventId, _iter_bits
 
 
 class ProjectionCase(Enum):
@@ -37,38 +38,55 @@ class ProjectionOutcome:
     backward: EventId | None
 
 
+def _projection_positions(chain: Chain, forward: bool) -> list[int | None]:
+    """Chain position of the forward (or backward) projection of every
+    event of the poset, None where that projection is absent.
+
+    The table of a chain is built on first use and cached on it.
+    """
+    table = chain._projections
+    if table is None:
+        # Stored whole in one assignment, so a concurrent reader sees no
+        # table or a complete one.
+        table = _build_table(chain)
+        object.__setattr__(chain, "_projections", table)
+    return table[0] if forward else table[1]
+
+
+def _build_table(chain: Chain) -> tuple[list[int | None], list[int | None]]:
+    """``(forward, backward)`` positions of every event, from closure rows."""
+    above = chain.poset._above
+    elements = chain.elements
+    length = len(elements)
+    mask = 0
+    for e in elements:
+        mask |= 1 << e
+    # The chain elements above x are a suffix of the chain, so its length
+    # places the least of them.
+    counts = ((row & mask).bit_count() for row in above)
+    forward = [length - c if c else None for c in counts]
+    # The rows above[e_0] ⊇ above[e_1] ⊇ ... are nested, so x's backward
+    # position is the last row holding it.
+    backward: list[int | None] = [None] * len(above)
+    rows = [above[e] for e in elements]
+    for i, (row, next_row) in enumerate(zip(rows, rows[1:] + [0])):
+        for x in _iter_bits(row & ~next_row):
+            backward[x] = i
+    return forward, backward
+
+
 def forward_project(x: EventId, chain: Chain) -> EventId | None:
     """Least chain element that includes ``x``, or None."""
-    poset = chain.poset
-    poset.check_id(x)
-    elements = chain.elements
-    if not poset.leq(x, elements[-1]):
-        return None
-    lo, hi = 0, len(elements) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if poset.leq(x, elements[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return elements[lo]
+    chain.poset.check_id(x)
+    position = _projection_positions(chain, True)[x]
+    return None if position is None else chain.elements[position]
 
 
 def backward_project(x: EventId, chain: Chain) -> EventId | None:
     """Greatest chain element included by ``x``, or None."""
-    poset = chain.poset
-    poset.check_id(x)
-    elements = chain.elements
-    if not poset.leq(elements[0], x):
-        return None
-    lo, hi = 0, len(elements) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if poset.leq(elements[mid], x):
-            lo = mid
-        else:
-            hi = mid - 1
-    return elements[lo]
+    chain.poset.check_id(x)
+    position = _projection_positions(chain, False)[x]
+    return None if position is None else chain.elements[position]
 
 
 _CASE_OF_PRESENCE = {

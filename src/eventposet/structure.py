@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .chains import Chain, ValuedChain
 from .errors import (
+    DifferentChainsError,
     MissingProjectionError,
     NotBetweenError,
     NotCompatibleError,
@@ -31,6 +32,7 @@ from .errors import (
 from .poset import EventId
 from .projection import (
     _project_both_ways,
+    _projection_positions,
     backward_project,
     forward_project,
     quantify_event,
@@ -109,17 +111,9 @@ def matching_cases(x: EventId, p_chain: Chain, q_chain: Chain) -> tuple[Collinea
     px, pbx = _project_both_ways(x, p_chain)
     qx, qbx = _project_both_ways(x, q_chain)
     matched = []
-    cache: dict[tuple[int, int, int], EventId | None] = {}
-
-    def project(argument, chain, direction):
-        key = (id(chain), argument, direction is forward_project)
-        if key not in cache:
-            cache[key] = direction(argument, chain)
-        return cache[key]
-
     for case, identities in _case_patterns(px, pbx, qx, qbx, p_chain, q_chain):
         if all(
-            project(argument, chain, direction) == lhs
+            direction(argument, chain) == lhs
             for lhs, direction, chain, argument in identities
         ):
             matched.append(case)
@@ -244,14 +238,11 @@ def _window_map(
     forward: bool,
 ) -> list[tuple[int, int]]:
     """Index pairs (i, j) of the projection map restricted to the windows."""
-    project = forward_project if forward else backward_project
+    positions = _projection_positions(dst.chain, forward)
     pairs = []
     for i in range(src_range[0], src_range[1] + 1):
-        image = project(src.elements[i], dst.chain)
-        if image is None:
-            continue
-        j = dst.index_of(image)
-        if dst_range[0] <= j <= dst_range[1]:
+        j = positions[src.elements[i]]
+        if j is not None and dst_range[0] <= j <= dst_range[1]:
             pairs.append((i, j))
     return pairs
 
@@ -271,6 +262,10 @@ def _direction_maps(
     q_range: IndexRange,
 ) -> list[tuple[ValuedChain, ValuedChain, list[tuple[int, int]]]]:
     """The four window-restricted projection maps between two chains."""
+    if p.poset is not q.poset:
+        raise DifferentChainsError(
+            f"chains {p.name!r} and {q.name!r} live on different posets"
+        )
     maps = []
     for src, dst, src_range, dst_range in (
         (p, q, p_range, q_range),

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eventposet import (
+    Chain,
     ClosedInterval,
     DifferentChainsError,
     NotAChainError,
     NotAdjacentError,
     NotIsotonicError,
+    ValuedChain,
     build_poset,
     chain_poset,
+    forward_project,
     interval_length,
     join_closed_intervals,
     make_valued_chain,
@@ -147,3 +150,23 @@ def test_length_additive_for_every_split(values):
                     ClosedInterval(vc, j, k)
                 )
                 assert parts == whole
+
+
+def test_projection_table_leaves_chain_identity_alone():
+    poset = build_poset(5, [(3, 0), (0, 4), (1, 4), (4, 2)])
+    with_table = Chain(poset, (3, 0, 4, 2), "P")
+    without_table = Chain(poset, (3, 0, 4, 2), "P")
+    assert forward_project(1, with_table) == 4
+    assert with_table._projections is not None
+    assert without_table._projections is None
+    assert with_table == without_table
+    assert hash(with_table) == hash(without_table)
+    assert repr(with_table) == repr(without_table)
+    for event in range(poset.event_count):
+        assert with_table.index_of(event) == without_table.index_of(event)
+    assert with_table.index_of(4) == 2
+    assert with_table.index_of(1) is None
+    assert with_table.index_of([4]) is None
+    for chain in (with_table, without_table):
+        with pytest.raises(DifferentChainsError):
+            ValuedChain(chain, (0, 1, 2, 3)).value_of(1)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import eventposet
 from eventposet.cli import main
 
 
@@ -141,10 +147,13 @@ def test_unknown_chain_is_usage_error(capsys):
         assert "eventposet project: error:" in capsys.readouterr().err
 
 
-# argv that used to end in a Python traceback. "FILE" stands for a file
-# holding the given text, or for a missing file when the text is None.
+# argv that used to end in a Python traceback or in the wrong exit code.
+# "FILE" stands for a file holding the given text, or for a missing file
+# when the text is None.
 BAD_INPUTS = [
     ("gen-not-int", ["project", "--gen", "lattice:a,3", "--chain", "P"], None, 2),
+    ("gen-lattice-negative", ["project", "--gen", "lattice:-1,3", "--chain", "P"], None, 2),
+    ("gen-lattice-zero", ["project", "--gen", "lattice:0,3", "--chain", "P"], None, 2),
     ("gen-over-cap", ["build", "--gen", "random:1,5000,0.1"], None, 2),
     ("gen-negative", ["build", "--gen", "simplex:-1"], None, 2),
     ("m-not-rational", ["transform", "--m", "abc", "--n", "1", "--pair", "1", "1"], None, 2),
@@ -172,6 +181,25 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, text, code):
     else:
         assert main(argv) == 1
         assert "error: line 1:" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # Like ``eventposet project ... | head -1``, but with the reading end
+    # closed before the child starts, so every write of its 50 kB table
+    # meets a closed pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(eventposet.__file__).parent.parent)}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "eventposet", "project", "--gen", "lattice:64,64", "--chain", "P"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    # No traceback, and no "Exception ignored" note from the flush at exit.
+    assert done.stderr == b""
 
 
 def test_domain_error_exits_1(capsys):

@@ -1,3 +1,6 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -5,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from eventposet import (
     Chain,
+    InvalidIdError,
     NotQuantifiableError,
     ProjectionCase,
     backward_project,
@@ -165,3 +169,78 @@ def test_matches_brute_force_on_random_posets():
                 assert backward_project(x, chain) == brute_backward(
                     poset, x, chain.elements
                 )
+
+
+@st.composite
+def permuted_poset_with_chain(draw):
+    # Relations respect a random order of the ids, so chain ids are not
+    # ascending; the chain is a run of a walk along cover edges.
+    n = draw(st.integers(1, 24))
+    ids = draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ab: ab[0] < ab[1]
+    )
+    relations = [(ids[a], ids[b]) for a, b in draw(st.lists(pairs, max_size=60))]
+    poset = build_poset(n, relations)
+    walk = maximal_chains(poset, seed=draw(st.integers(0, 5)), count=1)[0]
+    lo = draw(st.integers(0, len(walk) - 1))
+    hi = draw(st.integers(lo, len(walk) - 1))
+    return poset, walk[lo : hi + 1]
+
+
+_ORACLE_CASE = {
+    (False, False): ProjectionCase.A_INCOMPARABLE,
+    (False, True): ProjectionCase.B_BACKWARD_ONLY,
+    (True, False): ProjectionCase.C_FORWARD_ONLY,
+    (True, True): ProjectionCase.D_BOTH,
+}
+
+
+@given(permuted_poset_with_chain())
+def test_projection_table_matches_linear_scan(data):
+    poset, walk = data
+    # The dual poset carries the same chain, read in the other direction.
+    for host, elements in ((poset, walk), (poset.reverse(), walk[::-1])):
+        chain = Chain(host, elements)
+        for x in host.events():
+            forward = brute_forward(host, x, elements)
+            backward = brute_backward(host, x, elements)
+            assert forward_project(x, chain) == forward
+            assert backward_project(x, chain) == backward
+            outcome = classify_projection(x, chain)
+            assert (outcome.forward, outcome.backward) == (forward, backward)
+            assert outcome.case is _ORACLE_CASE[forward is not None, backward is not None]
+        for bad in (True, False, -1, host.event_count, "0", 1.0):
+            for project in (forward_project, backward_project, classify_projection):
+                with pytest.raises(InvalidIdError):
+                    project(bad, chain)
+
+
+def test_concurrent_first_projections_agree(lattice12):
+    # Threads race to build the same chain's table; each must read either
+    # no table or a complete one.
+    poset = lattice12.poset
+    elements = lattice12.chains["P"].elements
+    expected = [
+        (brute_forward(poset, x, elements), brute_backward(poset, x, elements))
+        for x in poset.events()
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            chain = Chain(poset, elements)
+            barrier = threading.Barrier(6)
+
+            def sweep():
+                barrier.wait(timeout=10)
+                return [
+                    (forward_project(x, chain), backward_project(x, chain))
+                    for x in poset.events()
+                ]
+
+            with ThreadPoolExecutor(6) as pool:
+                futures = [pool.submit(sweep) for _ in range(6)]
+                assert all(f.result(timeout=30) == expected for f in futures)
+    finally:
+        sys.setswitchinterval(interval)

@@ -6,6 +6,7 @@ from eventposet import (
     Betweenness,
     Chain,
     CollinearityCase,
+    DifferentChainsError,
     EventPosetError,
     IntervalPosition,
     LinearRelation,
@@ -312,3 +313,15 @@ def test_linear_relation_irregular_chain(lattice12):
 def test_linear_relation_rejects_negative_steps():
     with pytest.raises(ValueError):
         LinearRelation(Fraction(-1), Fraction(1))
+
+
+def test_coordination_refuses_chains_of_different_posets(lattice8, lattice12):
+    # Each chain's ids index its own poset only.
+    for p, q in (
+        (lattice8.chains["P"], lattice12.chains["Q"]),
+        (lattice12.chains["P"], lattice8.chains["Q"]),
+    ):
+        with pytest.raises(DifferentChainsError):
+            check_compatible(p, q)
+        with pytest.raises(DifferentChainsError):
+            check_coordinated(p, q)
