@@ -80,10 +80,19 @@ class Chain:
 
 @dataclass(frozen=True)
 class ValuedChain:
-    """A chain together with an isotonic rational valuation."""
+    """A chain together with an isotonic rational valuation.
+
+    The private field caches coordination outcomes against partner chains
+    (see :func:`eventposet.intervals._require_coordinated`). It takes no
+    part in equality, hashing or ``repr``, and copies and pickles start
+    with an empty cache.
+    """
 
     chain: Chain
     values: tuple[Fraction, ...]
+    _coordinations: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         values = tuple(as_fraction(v) for v in self.values)
@@ -97,6 +106,10 @@ class ValuedChain:
                 raise NotIsotonicError(
                     f"values {values[i]} > {values[i + 1]} at positions {i},{i + 1}"
                 )
+
+    def __getstate__(self):
+        # The cache refers to partners weakly, which cannot be pickled.
+        return {**self.__dict__, "_coordinations": {}}
 
     @property
     def poset(self) -> Poset:

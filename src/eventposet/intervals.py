@@ -9,6 +9,7 @@ within one subspace.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,7 +27,16 @@ from .errors import (
 )
 from .poset import EventId
 from .projection import forward_project, quantify_event
-from .structure import Betweenness, CollinearityCase, check_coordinated, matching_cases
+from .structure import (
+    Betweenness,
+    CollinearityCase,
+    IndexRange,
+    _checked_window,
+    _direction_maps,
+    _length_witness,
+    check_coordinated,
+    matching_cases,
+)
 
 
 class PairBasis(Enum):
@@ -122,22 +132,43 @@ def interval_pair_one_chain(
 
 
 def _require_coordinated(
-    p: ValuedChain,
-    q: ValuedChain,
-    p_range: tuple[int, int] | None = None,
-    q_range: tuple[int, int] | None = None,
+    p: ValuedChain, q: ValuedChain, p_range: IndexRange, q_range: IndexRange
 ) -> None:
+    """Raise NotCoordinatedError unless ``p`` and ``q`` are coordinated
+    over the (checked) windows.
+
+    The outcome is cached on ``p`` per partner chain and windows, so a
+    pair is proved once. The entry refers to ``q`` weakly: it does not keep
+    a partner alive, it goes when the partner does, and a reused id cannot
+    match it. A race on a first proof computes the same outcome twice.
+    """
+    key = (id(q), p_range, q_range)
+    cache = p._coordinations
+    entry = cache.get(key)
+    if entry is None or entry[0]() is not q:
+        partner = weakref.ref(q, lambda _: cache.pop(key, None))
+        entry = (partner, _coordination_refusal(p, q, p_range, q_range))
+        cache[key] = entry
+    if entry[1] is not None:
+        raise NotCoordinatedError(entry[1])
+
+
+def _coordination_refusal(
+    p: ValuedChain, q: ValuedChain, p_range: IndexRange, q_range: IndexRange
+) -> str | None:
+    """Why the chains are not coordinated over the windows, or None."""
     try:
-        coordinated = check_coordinated(p, q, p_range, q_range)
+        if check_coordinated(p, q, p_range, q_range):
+            return None
     except (MissingProjectionError, NotCompatibleError) as exc:
-        raise NotCoordinatedError(
-            f"chains {p.name!r} and {q.name!r}: {exc}"
-        ) from exc
-    if not coordinated:
-        raise NotCoordinatedError(
-            f"chains {p.name!r} and {q.name!r} do not preserve projected "
-            "interval lengths"
-        )
+        return f"chains {p.name!r} and {q.name!r}: {exc}"
+    # Only a refused pair, once per cache key, builds the maps again to
+    # name the step that broke.
+    witness = _length_witness(_direction_maps(p, q, p_range, q_range))
+    return (
+        f"chains {p.name!r} and {q.name!r} do not preserve projected "
+        f"interval lengths: {witness}"
+    )
 
 
 def _require_between(x: EventId, p: ValuedChain, q: ValuedChain) -> None:
@@ -161,7 +192,7 @@ def _two_chain_images(
 
     The chains must be coordinated and the endpoints between them.
     """
-    _require_coordinated(p, q)
+    _require_coordinated(p, q, _checked_window(p, None), _checked_window(q, None))
     _require_between(interval.a, p, q)
     _require_between(interval.b, p, q)
     values = []
@@ -199,21 +230,29 @@ def chain_distance(
     q: ValuedChain,
     p_event: EventId,
     q_event: EventId,
-    p_range: tuple[int, int] | None = None,
-    q_range: tuple[int, int] | None = None,
+    p_range: IndexRange | None = None,
+    q_range: IndexRange | None = None,
 ) -> Fraction:
     """Distance between coordinated chains from one element of each.
 
     Computed as ((p - Pq) - (Qp - q)) / 2 in valuations. Coordination,
     checked over the given index ranges (whole chains by default), makes
     the result independent of which elements are chosen; it is symmetric
-    in the chain pair and zero only for chains at no separation.
+    in the chain pair and zero only for chains at no separation. Elements
+    outside their window are refused with OutOfRangeError, as are windows
+    that are not index ranges of their chains.
     """
+    p_range, q_range = _checked_window(p, p_range), _checked_window(q, q_range)
     _require_coordinated(p, q, p_range, q_range)
-    if p.index_of(p_event) is None:
-        raise OutOfRangeError(f"event {p_event} is not on chain {p.name!r}")
-    if q.index_of(q_event) is None:
-        raise OutOfRangeError(f"event {q_event} is not on chain {q.name!r}")
+    for vc, event, (lo, hi) in ((p, p_event, p_range), (q, q_event, q_range)):
+        index = vc.index_of(event)
+        if index is None:
+            raise OutOfRangeError(f"event {event} is not on chain {vc.name!r}")
+        if not lo <= index <= hi:
+            raise OutOfRangeError(
+                f"event {event} lies outside the window ({lo}, {hi}) of "
+                f"chain {vc.name!r}"
+            )
     p_image = forward_project(q_event, p.chain)
     q_image = forward_project(p_event, q.chain)
     if p_image is None or q_image is None:

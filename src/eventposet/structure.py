@@ -28,6 +28,7 @@ from .errors import (
     NotCompatibleError,
     NotLinearlyRelatedError,
     NotProperlyCollinearError,
+    OutOfRangeError,
 )
 from .poset import EventId
 from .projection import (
@@ -226,8 +227,25 @@ def induced_chain_order(
 IndexRange = tuple[int, int]
 
 
-def _full_range(vc: ValuedChain) -> IndexRange:
-    return (0, len(vc) - 1)
+def _checked_window(vc: ValuedChain, window) -> IndexRange:
+    """``window`` as an ``(lo, hi)`` tuple of ints; None is the whole chain.
+
+    Raises OutOfRangeError unless ``0 <= lo <= hi < len(vc)``.
+    """
+    if window is None:
+        return (0, len(vc) - 1)
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (
+        type(lo) is int and type(hi) is int and 0 <= lo <= hi < len(vc)
+    ):
+        raise OutOfRangeError(
+            f"window {window!r} is not an index range (lo, hi) with "
+            f"0 <= lo <= hi < {len(vc)} on chain {vc.name!r}"
+        )
+    return (lo, hi)
 
 
 def _window_map(
@@ -260,26 +278,29 @@ def _direction_maps(
     q: ValuedChain,
     p_range: IndexRange,
     q_range: IndexRange,
-) -> list[tuple[ValuedChain, ValuedChain, list[tuple[int, int]]]]:
-    """The four window-restricted projection maps between two chains."""
+) -> list[tuple[str, ValuedChain, ValuedChain, list[tuple[int, int]]]]:
+    """The four window-restricted projection maps between two chains, each
+    labelled with its direction (``forward P->Q`` and so on; P is the
+    first chain argument)."""
     if p.poset is not q.poset:
         raise DifferentChainsError(
             f"chains {p.name!r} and {q.name!r} live on different posets"
         )
     maps = []
-    for src, dst, src_range, dst_range in (
-        (p, q, p_range, q_range),
-        (q, p, q_range, p_range),
+    for src, dst, src_range, dst_range, arrow in (
+        (p, q, p_range, q_range, "P->Q"),
+        (q, p, q_range, p_range, "Q->P"),
     ):
         for forward in (True, False):
             pairs = _window_map(src, dst, src_range, dst_range, forward)
-            maps.append((src, dst, pairs))
+            label = f"{'forward' if forward else 'backward'} {arrow}"
+            maps.append((label, src, dst, pairs))
     return maps
 
 
 def _compatible(maps) -> bool:
     """Bijectivity test of :func:`check_compatible` over built maps."""
-    for src, dst, pairs in maps:
+    for _, src, dst, pairs in maps:
         if not pairs:
             raise MissingProjectionError(
                 f"chains {src.name!r} and {dst.name!r} share no projections "
@@ -288,6 +309,24 @@ def _compatible(maps) -> bool:
         if not _bijective(pairs):
             return False
     return True
+
+
+def _length_witness(maps) -> str | None:
+    """The first unit step whose projection changes its length, or None.
+
+    Names the direction, the source and destination index pairs, and the
+    two unequal steps.
+    """
+    for label, src, dst, pairs in maps:
+        for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
+            src_step = src.values[i2] - src.values[i1]
+            dst_step = dst.values[j2] - dst.values[j1]
+            if src_step != dst_step:
+                return (
+                    f"the {label} projection maps indices ({i1}, {i2}) to "
+                    f"({j1}, {j2}), a step of {src_step} to one of {dst_step}"
+                )
+    return None
 
 
 def check_compatible(
@@ -303,10 +342,11 @@ def check_compatible(
     a contiguous run exactly once per element. Checking both directions
     keeps the relation symmetric, which element-independent distances
     rely on. Raises MissingProjectionError when some direction has no
-    projections over the windows at all.
+    projections over the windows at all, and OutOfRangeError for a window
+    that is not an index range of its chain.
     """
     return _compatible(
-        _direction_maps(p, q, p_range or _full_range(p), q_range or _full_range(q))
+        _direction_maps(p, q, _checked_window(p, p_range), _checked_window(q, q_range))
     )
 
 
@@ -319,21 +359,19 @@ def check_coordinated(
     """Compatible, and projected closed intervals keep their lengths.
 
     Checking consecutive elements suffices: lengths are additive, so equal
-    unit steps imply equal lengths for every closed subinterval.
+    unit steps imply equal lengths for every closed subinterval. This is
+    the uncached proof; the two-chain quantifications of
+    :mod:`eventposet.intervals` cache its outcome per valued-chain pair.
     """
-    maps = _direction_maps(p, q, p_range or _full_range(p), q_range or _full_range(q))
+    maps = _direction_maps(
+        p, q, _checked_window(p, p_range), _checked_window(q, q_range)
+    )
     if not _compatible(maps):
         raise NotCompatibleError(
             f"chains {p.name!r} and {q.name!r} are not compatible over the "
             "inspected ranges"
         )
-    for src, dst, pairs in maps:
-        for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
-            src_step = src.values[i2] - src.values[i1]
-            dst_step = dst.values[j2] - dst.values[j1]
-            if src_step != dst_step:
-                return False
-    return True
+    return _length_witness(maps) is None
 
 
 def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> LinearRelation:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import eventposet
 from eventposet.cli import main
@@ -260,3 +263,86 @@ def test_verify_exits_zero(capsys):
     ]
     assert passed == VERIFY_CHECK_NAMES
     assert out.splitlines()[-1] == "31/31 checks passed"
+
+
+_GEN_SPEC = st.one_of(
+    st.builds("lattice:{},{}".format, st.integers(-1, 6), st.integers(-1, 6)),
+    st.builds("simplex:{}".format, st.integers(-1, 5)),
+    st.builds(
+        "random:{},{},{}".format,
+        st.integers(-1, 3),
+        st.integers(-1, 30),
+        st.sampled_from(["0.2", "1", "2", "-0.5", "nan", "x"]),
+    ),
+    st.sampled_from(["lattice:a,3", "lattice:3", "lattice", "spiral:3", "random:1,2"]),
+)
+_SOURCE = st.one_of(
+    st.tuples(st.just("--gen"), _GEN_SPEC),
+    st.tuples(st.just("--input"), st.sampled_from(["GOOD", "BAD", "MISSING"])),
+)
+_NAME = st.sampled_from(["P", "Q", "R", "S", "T", "C1", "C2", "C3", "x"])
+_ID = st.integers(-2, 40).map(str)
+_RATIONAL = st.one_of(
+    st.integers(-9, 9).map(str), st.sampled_from(["1/2", "-3/2", "1/0", "0.5", "abc"])
+)
+_STRAY = st.one_of(_NAME, _ID, _RATIONAL, st.sampled_from(["--gen", "--chains", "--pair", "-x"]))
+# The options of each subcommand and the values they take; the CLI
+# grammar, which the fuzzed argv follows before it is damaged.
+_OPTIONS = {
+    "build": [],
+    "project": [("--chain", _NAME)],
+    "classify": [("--chains", _NAME, _NAME)],
+    "relate": [("--chains", _NAME, _NAME)],
+    "quantify": [("--interval", _ID, _ID), ("--chains", _NAME, _NAME)],
+    "transform": [("--m", _RATIONAL), ("--n", _RATIONAL), ("--pair", _RATIONAL, _RATIONAL)],
+    "scalar": [("--pair", _RATIONAL, _RATIONAL)],
+    "dot": [("--x", _ID), ("--y", _ID), ("--chains", _NAME, _NAME)],
+    "verify": [],
+    "export": [("--mode", st.sampled_from(["hasse", "geometric", "x"]))],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command not in ("transform", "scalar"):
+        argv += draw(_SOURCE)
+    for option, *values in _OPTIONS[command]:
+        argv += [option, *(draw(value) for value in values)]
+    if command in ("build", "export") and draw(st.booleans()):
+        argv += ["--out", "OUT"]
+    # Damage one argv in four: drop a word, then maybe add a stray one.
+    if len(argv) > 1 and draw(st.integers(0, 3)) == 0:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(_STRAY))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    good = folder / "good.txt"
+    good.write_text("events 4\nrel 0 1\nrel 1 2\nrel 0 3\nchain P 0 1 2 : 0 1 2\n")
+    bad = folder / "bad.txt"
+    bad.write_text("events 3\nrel 0 1\nrel 1 0\n")
+    return {"GOOD": str(good), "BAD": str(bad), "MISSING": str(folder / "none.txt"),
+            "OUT": str(folder / "out.txt")}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(words=_argv())
+def test_arbitrary_argv_keeps_the_exit_code_contract(fuzz_files, words):
+    # Any argv of a known subcommand returns 0 or 1, or exits 2 as a usage
+    # error. Files are named by placeholders, so --out only writes scratch.
+    argv = [fuzz_files.get(word, word) for word in words]
+    assume(argv != ["verify"])  # the full suite; test_verify_exits_zero runs it
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, stderr.getvalue())
+            return
+    assert code in (0, 1), argv

@@ -13,6 +13,7 @@ from eventposet import (
     NoSharedEndpointError,
     NotBetweenError,
     NotCoordinatedError,
+    OutOfRangeError,
     PairBasis,
     SideUnknownError,
     chain_distance,
@@ -368,3 +369,20 @@ def test_join_refuses_pairs_on_different_chains(lattice12, names):
         first, on_p, second, interval_pair_one_chain(second, p, BETWEEN, BETWEEN)
     )
     assert (joined.first, joined.second) == (Fraction(2), Fraction(2))
+
+
+def test_scoped_chain_distance_refuses_elements_outside_windows(lattice12):
+    # Coordination is proved over the windows only, so the distance is
+    # element-independent only there. P's elements 0 and 1 lie outside
+    # (2, 9); they used to give -2 and -3/2 instead of -1.
+    p, t = lattice12.chains["P"], lattice12.chains["T"]
+    windows = ((2, 9), (0, 7))
+    for i, a in enumerate(p.elements):
+        for b in t.elements:
+            if 2 <= i <= 9:
+                assert chain_distance(p, t, a, b, *windows) == Fraction(-1)
+            else:
+                with pytest.raises(OutOfRangeError):
+                    chain_distance(p, t, a, b, *windows)
+    with pytest.raises(OutOfRangeError):
+        chain_distance(p, t, p.elements[4], t.elements[6], (2, 9), (0, 5))

@@ -1,3 +1,10 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -8,17 +15,21 @@ from eventposet import (
     CollinearityCase,
     DifferentChainsError,
     EventPosetError,
+    GeneralizedInterval,
     IntervalPosition,
     LinearRelation,
     MissingProjectionError,
     NotBetweenError,
     NotCompatibleError,
+    NotCoordinatedError,
     NotLinearlyRelatedError,
     NotProperlyCollinearError,
+    OutOfRangeError,
     LatticeChainSpec,
     LatticeSpec,
     betweenness_of,
     build_poset,
+    chain_distance,
     chain_properly_collinear,
     check_compatible,
     check_coordinated,
@@ -27,6 +38,7 @@ from eventposet import (
     generate_lattice,
     induced_chain_order,
     interval_betweenness,
+    interval_pair_two_chains,
     is_properly_collinear,
     make_valued_chain,
 )
@@ -325,3 +337,176 @@ def test_coordination_refuses_chains_of_different_posets(lattice8, lattice12):
             check_compatible(p, q)
         with pytest.raises(DifferentChainsError):
             check_coordinated(p, q)
+
+
+@pytest.mark.parametrize(
+    "check, p_range, q_range",
+    [
+        ("coordinated", (0, 50), None),
+        ("distance", (0, 50), (0, 7)),
+        ("compatible", None, (-2, 7)),
+        ("coordinated", None, (-2, 7)),
+        ("compatible", (5, 2), None),
+        ("distance", None, (5, 2)),
+        ("compatible", (0, 12), None),
+        ("coordinated", (0,), None),
+        ("distance", "ab", None),
+        ("compatible", (0.0, 7), None),
+        ("coordinated", (True, 7), None),
+    ],
+)
+def test_windows_must_be_index_ranges(lattice12, check, p_range, q_range):
+    # Each window needs 0 <= lo <= hi < len(chain). Out of range windows
+    # used to raise IndexError, and a negative lo used to wrap around to
+    # the chain's end and give a wrong verdict.
+    p, q = lattice12.chains["P"], lattice12.chains["Q"]
+    calls = {
+        "compatible": lambda: check_compatible(p, q, p_range, q_range),
+        "coordinated": lambda: check_coordinated(p, q, p_range, q_range),
+        "distance": lambda: chain_distance(
+            p, q, p.elements[5], q.elements[5], p_range, q_range
+        ),
+    }
+    with pytest.raises(OutOfRangeError):
+        calls[check]()
+
+
+def test_list_windows_work_like_tuples(lattice12):
+    p, q = lattice12.chains["P"], lattice12.chains["Q"]
+    assert check_compatible(p, q, None, [0, 7]) is check_compatible(p, q, None, (0, 7))
+    assert check_coordinated(p, q, [0, 7], [0, 7]) is check_coordinated(p, q, (0, 7), (0, 7))
+    a, b = p.elements[3], q.elements[3]
+    assert chain_distance(p, q, a, b, [0, 7], [0, 7]) == chain_distance(
+        p, q, a, b, (0, 7), (0, 7)
+    )
+
+
+def test_refused_coordination_names_its_witness(lattice12):
+    p, q = lattice12.chains["P"], lattice12.chains["Q"]
+    doubled = q.revalued([2 * v for v in q.values])
+    interval = GeneralizedInterval(lattice12.event(4, 2), lattice12.event(5, 3))
+    with pytest.raises(NotCoordinatedError) as info:
+        interval_pair_two_chains(interval, p, doubled)
+    assert str(info.value) == (
+        "chains 'P' and 'Q' do not preserve projected interval lengths: "
+        "the forward P->Q projection maps indices (0, 1) to (0, 1), "
+        "a step of 1 to one of 2"
+    )
+
+
+def _two_chain_outcome(p, q, p_range, q_range):
+    # Outcome of both cached entry points, errors by type and message.
+    def outcome(call):
+        try:
+            return call()
+        except EventPosetError as exc:
+            return type(exc), str(exc)
+
+    lo_p = p_range[0] if p_range else 0
+    lo_q = q_range[0] if q_range else 0
+    interval = GeneralizedInterval(p.elements[lo_p], q.elements[lo_q])
+    return (
+        outcome(lambda: interval_pair_two_chains(interval, p, q)),
+        outcome(lambda: chain_distance(
+            p, q, p.elements[lo_p], q.elements[lo_q], p_range, q_range
+        )),
+    )
+
+
+def _rebuilt(vc):
+    return make_valued_chain(vc.poset, vc.elements, vc.values, vc.name)
+
+
+def test_cached_coordination_agrees_with_first_proof(lattice8):
+    chains = list(lattice8.chains.values())
+    outcomes = set()
+    for p in chains:
+        for q in chains:
+            for p_range in _windows(p):
+                for q_range in _windows(q):
+                    args = (p_range, q_range)
+                    first = _two_chain_outcome(p, q, *args)
+                    assert _two_chain_outcome(p, q, *args) == first
+                    assert _two_chain_outcome(_rebuilt(p), _rebuilt(q), *args) == first
+                    outcomes.add(first[1] if isinstance(first[1], tuple) else "ok")
+    # The sweep meets proved pairs and each kind of refusal.
+    assert "ok" in outcomes and len(outcomes) > 2
+
+
+def test_revalued_partner_is_proved_afresh(lattice12):
+    p, q = lattice12.chains["P"], _rebuilt(lattice12.chains["Q"])
+    interval = GeneralizedInterval(lattice12.event(4, 2), lattice12.event(5, 3))
+    assert interval_pair_two_chains(interval, p, q) == interval_pair_two_chains(
+        interval, p, q
+    )
+    doubled = q.revalued([2 * v for v in q.values])
+    assert doubled.chain is q.chain
+    with pytest.raises(NotCoordinatedError):
+        interval_pair_two_chains(interval, p, doubled)
+    with pytest.raises(NotCoordinatedError):
+        chain_distance(p, doubled, p.elements[0], q.elements[0])
+
+
+def test_cached_refusal_repeats_its_message(lattice12):
+    p, t = lattice12.chains["P"], _rebuilt(lattice12.chains["T"])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotCoordinatedError) as info:
+            chain_distance(t, p, t.elements[0], p.elements[0])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert len(t._coordinations) == 1
+
+
+def test_coordination_cache_leaves_chain_identity_alone(lattice12):
+    p, q = _rebuilt(lattice12.chains["P"]), _rebuilt(lattice12.chains["Q"])
+    twin = _rebuilt(p)
+    before = (repr(p), hash(p))
+    chain_distance(p, q, p.elements[0], q.elements[0])
+    chain_distance(p, q, p.elements[0], q.elements[0], (0, 5), (0, 5))
+    assert p._coordinations and not twin._coordinations
+    assert (repr(p), hash(p)) == before == (repr(twin), hash(twin))
+    assert p == twin
+
+
+def test_concurrent_first_proofs_agree(lattice12):
+    # Threads race on one pair's first proof; each gets the same answer,
+    # and the refused pair the same message.
+    interval = GeneralizedInterval(lattice12.event(4, 2), lattice12.event(5, 3))
+    q = lattice12.chains["Q"]
+    doubled = q.revalued([2 * v for v in q.values])
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            p = _rebuilt(lattice12.chains["P"])
+            barrier = threading.Barrier(6)
+
+            def race():
+                barrier.wait(timeout=10)
+                got = interval_pair_two_chains(interval, p, q)
+                try:
+                    interval_pair_two_chains(interval, p, doubled)
+                except NotCoordinatedError as exc:
+                    return got, str(exc)
+                return got, None
+
+            with ThreadPoolExecutor(6) as pool:
+                results = [f.result() for f in [pool.submit(race) for _ in range(6)]]
+            assert len(set(results)) == 1
+            assert results[0][1] is not None
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_coordination_cache_holds_partners_weakly(lattice12):
+    p, q = _rebuilt(lattice12.chains["P"]), _rebuilt(lattice12.chains["Q"])
+    chain_distance(p, q, p.elements[0], q.elements[0])
+    assert len(p._coordinations) == 1
+    assert pickle.loads(pickle.dumps(p))._coordinations == {}
+    assert copy.copy(p)._coordinations == {}
+    partner = weakref.ref(q)
+    del q
+    gc.collect()
+    assert partner() is None
+    assert p._coordinations == {}

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eventposet import FormatError, format_poset_text, parse_poset_text
+from eventposet import EventPosetError, FormatError, format_poset_text, parse_poset_text
 from eventposet.verify import projection_lattice
 
 
@@ -82,3 +83,24 @@ def test_chain_line_validation():
 def test_chain_values_parse_fractions():
     _, chains = parse_poset_text("events 2\nrel 0 1\nchain P 0 1 : -1/2 3/4\n")
     assert chains["P"].values == (Fraction(-1, 2), Fraction(3, 4))
+
+
+_TOKEN = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(
+        ["events", "rel", "chain", ":", "#", "1/2", "-1/3", "3/0", "0.5", "x", "5000"]
+    ),
+    st.text(max_size=4),
+)
+_LINE = st.lists(_TOKEN, max_size=8).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.text(), st.lists(_LINE, max_size=10).map("\n".join)))
+def test_arbitrary_text_parses_or_raises_a_package_error(text):
+    try:
+        poset, chains = parse_poset_text(text)
+    except EventPosetError:
+        return
+    assert poset.event_count >= 0
+    assert all(vc.poset is poset for vc in chains.values())

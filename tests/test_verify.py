@@ -1,6 +1,7 @@
 import dataclasses
 
-from eventposet import standard_lattice, verify
+from eventposet import Chain, standard_lattice, verify
+from eventposet.poset import Poset
 
 
 def test_two_chain_sweeps_catch_a_wrong_one_chain_pair(monkeypatch):
@@ -17,3 +18,28 @@ def test_two_chain_sweeps_catch_a_wrong_one_chain_pair(monkeypatch):
     monkeypatch.setattr(verify, "interval_pair_one_chain", shifted)
     assert verify._check_two_vs_one_chain(standard_lattice(8, 8)) != []
     assert verify._check_scalar_invariance(standard_lattice(12, 12)) != []
+
+
+def test_order_axioms_sweep_reports_a_doctored_closure():
+    # Row 0 holds 1 but not 2, which row 1 holds; events 3 and 4 sit
+    # above each other.
+    rows = [0b00011, 0b00110, 0b00100, 0b11000, 0b11000]
+    bad = verify._check_order_axioms(Poset(5, rows, ()))
+    assert "transitivity broken at 0 <= 1" in bad
+    assert "antisymmetry broken at 3, 4" in bad
+
+
+def test_projection_monotonicity_sweep_reports_a_doctored_table():
+    lattice = standard_lattice(6, 6)
+    chain = Chain(lattice.poset, lattice.chains["P"].elements, "P")
+    assert verify._check_projection_monotone(lattice.poset, [chain]) == []
+    forward, backward = chain._projections
+    # Send the top event's forward projection to the chain's first element,
+    # below the projections of the events under it.
+    top = lattice.poset.event_count - 1
+    doctored = forward.copy()
+    doctored[top] = 0
+    object.__setattr__(chain, "_projections", (doctored, backward))
+    bad = verify._check_projection_monotone(lattice.poset, [chain])
+    assert f"forward monotonicity broken at 1 <= {top}" in bad
+    assert f"projection sandwich broken at {top} on 'P'" in bad
