@@ -9,10 +9,11 @@ its endpoint values and is additive under joins.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     DifferentChainsError,
@@ -23,6 +24,7 @@ from .errors import (
 from .poset import EventId, Poset
 
 RationalLike = Rational | int | str
+_T = TypeVar("_T")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -32,13 +34,35 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _cached_per_partner(
+    cache: dict, partner: object, key: tuple, compute: Callable[[], _T]
+) -> _T:
+    """``compute()``, cached in ``cache`` per partner object and ``key``.
+
+    The entry refers to ``partner`` weakly: it does not keep the partner
+    alive, it goes when the partner does, and a reused id cannot match it.
+    An entry is stored in one assignment once computed, so a race on a
+    first computation computes the same outcome twice.
+    """
+    full_key = (id(partner), *key)
+    entry = cache.get(full_key)
+    if entry is None or entry[0]() is not partner:
+        ref = weakref.ref(partner, lambda _: cache.pop(full_key, None))
+        entry = (ref, compute())
+        cache[full_key] = entry
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class Chain:
     """Strictly increasing, non-empty run of events in a poset.
 
-    The private fields are caches: the position of each element, and the
-    projection table that :mod:`eventposet.projection` builds on first use.
-    They take no part in equality, hashing or ``repr``.
+    The private fields are caches: the position of each element, the
+    projection table that :mod:`eventposet.projection` builds on first use,
+    and the collinearity table against each partner chain that
+    :mod:`eventposet.structure` builds on first use. They take no part in
+    equality, hashing or ``repr``, and copies and pickles start without
+    collinearity tables.
     """
 
     poset: Poset
@@ -46,6 +70,9 @@ class Chain:
     name: str = ""
     _positions: dict[EventId, int] = field(init=False, compare=False, repr=False)
     _projections: object = field(default=None, init=False, compare=False, repr=False)
+    _collinearities: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.elements:
@@ -62,6 +89,10 @@ class Chain:
                 )
         positions = {event: i for i, event in enumerate(self.elements)}
         object.__setattr__(self, "_positions", positions)
+
+    def __getstate__(self):
+        # The cache refers to partners weakly, which cannot be pickled.
+        return {**self.__dict__, "_collinearities": {}}
 
     def __len__(self) -> int:
         return len(self.elements)

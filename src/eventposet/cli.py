@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .chains import ValuedChain
 from .dotexport import export_dot
-from .errors import EventPosetError, MissingProjectionError
+from .errors import EventPosetError
 from .generators import generate_random, generate_simplex, standard_lattice
 from .intervals import (
     GeneralizedInterval,
@@ -48,11 +47,12 @@ from .spacetime import (
 )
 from .structure import (
     Betweenness,
-    betweenness_of,
-    collinearity_case,
+    _case_of,
+    _collinearity_table,
+    _side,
     detect_linear_relation,
 )
-from .textio import format_poset_text, parse_poset_text
+from .textio import _RATIONAL_TOKEN, _parse_rational, format_poset_text, parse_poset_text
 from .verify import run_all, run_for
 
 
@@ -61,13 +61,13 @@ class _UsageError(Exception):
 
 
 def _load(args) -> tuple[Poset, dict[str, ValuedChain]]:
-    if args.input:
+    if args.input is not None:
         try:
             text = Path(args.input).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read --input: {exc}") from None
         return parse_poset_text(text)
-    if args.gen:
+    if args.gen is not None:
         try:
             return _generate(args.gen)
         except ValueError as exc:
@@ -106,11 +106,12 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _rational(text: str) -> Fraction:
-    """argparse type for rationals such as ``3``, ``-3/2`` or ``0.5``."""
+    """argparse type for rationals such as ``3``, ``-3/2`` or ``0.5``,
+    bounded as in the text format."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
+        return _parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _chain(chains: dict[str, ValuedChain], name: str) -> ValuedChain:
@@ -150,18 +151,16 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    poset, chains = _load(args)
+    _, chains = _load(args)
     p = _chain(chains, args.chains[0])
     q = _chain(chains, args.chains[1])
-    for event in poset.events():
-        try:
-            case = collinearity_case(event, p.chain, q.chain)
-            side = betweenness_of(event, p.chain, q.chain)
-        except MissingProjectionError:
+    for event, matched in enumerate(_collinearity_table(p.chain, q.chain)):
+        if matched is None:
             print(f"{event} - -")
             continue
+        side = _side(matched)
         side_text = side.value if side is not Betweenness.NONE else "-"
-        print(f"{event} {case.value} {side_text}")
+        print(f"{event} {_case_of(matched).value} {side_text}")
     return 0
 
 
@@ -232,19 +231,16 @@ def _cmd_dot(args) -> int:
     q = _chain(chains, args.chains[1])
     x, y = args.x, args.y
     value = subspace_projection(x, y, p, q)
+    table = _collinearity_table(p.chain, q.chain)
     for event in (x, y):
-        try:
-            side = betweenness_of(event, p.chain, q.chain)
-        except MissingProjectionError:
-            side = Betweenness.NONE
-        if side is not Betweenness.BETWEEN:
+        if _side(table[event]) is not Betweenness.BETWEEN:
             print(f"note: endpoint {event} is outside the chain slab (extrapolated)")
     print(f"projection = {value}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.input or args.gen:
+    if args.input is not None or args.gen is not None:
         poset, chains = _load(args)
         results = run_for(poset, chains, report=print)
     else:
@@ -256,7 +252,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     poset, chains = _load(args)
-    text = export_dot(poset, chains, mode=args.mode)
+    try:
+        text = export_dot(poset, chains, mode=args.mode)
+    except ValueError as exc:  # a geometric view of a poset without chains
+        raise _UsageError(str(exc)) from None
     if args.out:
         _write_out(args.out, text)
     else:
@@ -264,12 +263,10 @@ def _cmd_export(args) -> int:
     return 0
 
 
-_RATIONAL_TOKEN = re.compile(r"^-\d+(/\d+)?$")
-
-
 def _accept_negative_rationals(parser: argparse.ArgumentParser) -> None:
-    # argparse treats "-3/2" as an option name; widen its negative-number
-    # detection so rational pair components parse as values.
+    # argparse treats "-3/2" as an option name; its negative-number
+    # detection becomes the rational token grammar, so every token that
+    # the rational parser reads parses as a value.
     if hasattr(parser, "_negative_number_matcher"):
         parser._negative_number_matcher = _RATIONAL_TOKEN
 

@@ -9,12 +9,11 @@ within one subspace.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chains import ValuedChain, as_fraction
+from .chains import ValuedChain, _cached_per_partner, as_fraction
 from .errors import (
     BasisMismatchError,
     MissingProjectionError,
@@ -29,13 +28,13 @@ from .poset import EventId
 from .projection import forward_project, quantify_event
 from .structure import (
     Betweenness,
-    CollinearityCase,
     IndexRange,
     _checked_window,
+    _collinearity_table,
     _direction_maps,
     _length_witness,
+    _side,
     check_coordinated,
-    matching_cases,
 )
 
 
@@ -137,20 +136,17 @@ def _require_coordinated(
     """Raise NotCoordinatedError unless ``p`` and ``q`` are coordinated
     over the (checked) windows.
 
-    The outcome is cached on ``p`` per partner chain and windows, so a
-    pair is proved once. The entry refers to ``q`` weakly: it does not keep
-    a partner alive, it goes when the partner does, and a reused id cannot
-    match it. A race on a first proof computes the same outcome twice.
+    The outcome is cached on ``p`` per partner chain (held weakly) and
+    windows, so a pair is proved once.
     """
-    key = (id(q), p_range, q_range)
-    cache = p._coordinations
-    entry = cache.get(key)
-    if entry is None or entry[0]() is not q:
-        partner = weakref.ref(q, lambda _: cache.pop(key, None))
-        entry = (partner, _coordination_refusal(p, q, p_range, q_range))
-        cache[key] = entry
-    if entry[1] is not None:
-        raise NotCoordinatedError(entry[1])
+    refusal = _cached_per_partner(
+        p._coordinations,
+        q,
+        (p_range, q_range),
+        lambda: _coordination_refusal(p, q, p_range, q_range),
+    )
+    if refusal is not None:
+        raise NotCoordinatedError(refusal)
 
 
 def _coordination_refusal(
@@ -174,12 +170,11 @@ def _coordination_refusal(
 def _require_between(x: EventId, p: ValuedChain, q: ValuedChain) -> None:
     # Enforced when decidable: the full case test needs projections that
     # finite windows may cut off even for elements that sit between the
-    # chains, so an undecidable endpoint is trusted to the caller.
-    try:
-        matched = matching_cases(x, p.chain, q.chain)
-    except MissingProjectionError:
-        return
-    if matched and matched[0] is not CollinearityCase.II:
+    # chains, so an endpoint with a missing projection is trusted to the
+    # caller. One that matches no case, or another side's, is refused.
+    p.poset.check_id(x)
+    side = _side(_collinearity_table(p.chain, q.chain)[x])
+    if side is not None and side is not Betweenness.BETWEEN:
         raise NotBetweenError(
             f"endpoint {x} is not between chains {p.name!r} and {q.name!r}"
         )

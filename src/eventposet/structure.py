@@ -12,7 +12,10 @@ at relative rest.
 
 All classification here is per element, from that element's own
 projections; twists hidden between an element's projections would only be
-visible through other elements and are deliberately not searched for.
+visible through other elements and are deliberately not searched for. The
+first classification against an ordered chain pair classifies every event
+at once (see ``_collinearity_table``) and caches that table on the first
+chain; every reader of a case or a side reads it.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chains import Chain, ValuedChain
+from .chains import Chain, ValuedChain, _cached_per_partner
 from .errors import (
     DifferentChainsError,
     MissingProjectionError,
@@ -88,8 +91,10 @@ def _case_patterns(px, pbx, qx, qbx, p_chain, q_chain):
     """The five identity blocks, as lazy checks.
 
     Each entry is (case, [(lhs, direction, chain, argument), ...]) where
-    the identity asserts lhs == project(argument, chain, direction). A
-    composite whose projection does not exist simply fails its identity.
+    the identity asserts lhs == project(argument, chain, direction); lhs
+    and argument are among the four direct projections ``px`` ... ``qbx``
+    of the event (or stand-ins for them). A composite whose projection
+    does not exist simply fails its identity.
     """
     F, B = forward_project, backward_project
     return (
@@ -107,8 +112,9 @@ def _case_patterns(px, pbx, qx, qbx, p_chain, q_chain):
 
 
 def matching_cases(x: EventId, p_chain: Chain, q_chain: Chain) -> tuple[CollinearityCase, ...]:
-    """All identity blocks that hold for ``x``; used by the verifier to
-    confirm at most one ever matches on generated posets."""
+    """All identity blocks that hold for ``x``, derived afresh from its
+    projections: the uncached reference that the collinearity table is
+    tested against. The library itself reads the table."""
     px, pbx = _project_both_ways(x, p_chain)
     qx, qbx = _project_both_ways(x, q_chain)
     matched = []
@@ -121,6 +127,84 @@ def matching_cases(x: EventId, p_chain: Chain, q_chain: Chain) -> tuple[Collinea
     return tuple(matched)
 
 
+def _check_same_poset(a: Chain, b: Chain) -> None:
+    if a.poset is not b.poset:
+        raise DifferentChainsError(
+            f"chains {a.name!r} and {b.name!r} live on different posets"
+        )
+
+
+_CaseTable = list[tuple[CollinearityCase, ...] | None]
+
+
+def _collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
+    """The matched cases of every event against (P, Q), indexed by event;
+    None where one of the event's four direct projections is missing.
+
+    Built on first use and cached on ``p_chain``, keyed on the partner
+    chain, which the cache holds weakly. Cases depend on the order alone,
+    so the key is a ``Chain``, not a valuation.
+    """
+    return _cached_per_partner(
+        p_chain._collinearities,
+        q_chain,
+        (),
+        lambda: _build_collinearity_table(p_chain, q_chain),
+    )
+
+
+def _build_collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
+    """``_case_patterns`` evaluated for every event over the projection
+    tables of the two chains, so each composite projection is a list read."""
+    _check_same_poset(p_chain, q_chain)
+    # The projection of every event, per direction and chain.
+    images = {}
+    for chain in (p_chain, q_chain):
+        for direction, forward in ((forward_project, True), (backward_project, False)):
+            elements = chain.elements
+            images[direction, id(chain)] = [
+                None if position is None else elements[position]
+                for position in _projection_positions(chain, forward)
+            ]
+    # The patterns are written over the four direct projections of x; given
+    # the slot numbers 0..3 in their place, each identity becomes
+    # (lhs slot, projections of one direction and chain, argument slot).
+    blocks = [
+        (case, [(lhs, images[direction, id(chain)], argument)
+                for lhs, direction, chain, argument in identities])
+        for case, identities in _case_patterns(0, 1, 2, 3, p_chain, q_chain)
+    ]
+    direct = zip(
+        images[forward_project, id(p_chain)],
+        images[backward_project, id(p_chain)],
+        images[forward_project, id(q_chain)],
+        images[backward_project, id(q_chain)],
+    )
+    # Entries share one tuple per distinct outcome, so a table costs a
+    # pointer per event.
+    interned: dict[tuple[CollinearityCase, ...], tuple[CollinearityCase, ...]] = {}
+    table: _CaseTable = []
+    for slots in direct:
+        if None in slots:
+            table.append(None)
+            continue
+        matched = tuple(
+            case
+            for case, identities in blocks
+            if all(
+                image[slots[argument]] == slots[lhs]
+                for lhs, image, argument in identities
+            )
+        )
+        table.append(interned.setdefault(matched, matched))
+    return table
+
+
+def _case_of(matched: tuple[CollinearityCase, ...]) -> CollinearityCase:
+    """The first matching case of a table entry, or NOT_COLLINEAR."""
+    return matched[0] if matched else CollinearityCase.NOT_COLLINEAR
+
+
 def collinearity_case(x: EventId, p_chain: Chain, q_chain: Chain) -> CollinearityCase:
     """Classify ``x`` against the chain pair by the projection identities.
 
@@ -128,8 +212,13 @@ def collinearity_case(x: EventId, p_chain: Chain, q_chain: Chain) -> Collinearit
     (MissingProjectionError otherwise). Returns the first matching case,
     or NOT_COLLINEAR when none holds.
     """
-    matched = matching_cases(x, p_chain, q_chain)
-    return matched[0] if matched else CollinearityCase.NOT_COLLINEAR
+    p_chain.poset.check_id(x)
+    matched = _collinearity_table(p_chain, q_chain)[x]
+    if matched is None:
+        # One of these raises, naming the chain and the case of x.
+        _project_both_ways(x, p_chain)
+        _project_both_ways(x, q_chain)
+    return _case_of(matched)
 
 
 _BETWEENNESS_OF_CASE = {
@@ -137,6 +226,13 @@ _BETWEENNESS_OF_CASE = {
     CollinearityCase.II: Betweenness.BETWEEN,
     CollinearityCase.III: Betweenness.Q_SIDE,
 }
+
+
+def _side(matched: tuple[CollinearityCase, ...] | None) -> Betweenness | None:
+    """The side of a table entry; None where a projection is missing."""
+    if matched is None:
+        return None
+    return _BETWEENNESS_OF_CASE.get(_case_of(matched), Betweenness.NONE)
 
 
 def betweenness_of(x: EventId, p_chain: Chain, q_chain: Chain) -> Betweenness:
@@ -282,10 +378,7 @@ def _direction_maps(
     """The four window-restricted projection maps between two chains, each
     labelled with its direction (``forward P->Q`` and so on; P is the
     first chain argument)."""
-    if p.poset is not q.poset:
-        raise DifferentChainsError(
-            f"chains {p.name!r} and {q.name!r} live on different posets"
-        )
+    _check_same_poset(p.chain, q.chain)
     maps = []
     for src, dst, src_range, dst_range, arrow in (
         (p, q, p_range, q_range, "P->Q"),

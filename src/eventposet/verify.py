@@ -55,10 +55,11 @@ from .spacetime import (
 from .structure import (
     Betweenness,
     CollinearityCase,
-    betweenness_of,
+    _case_of,
+    _collinearity_table,
+    _side,
     check_coordinated,
     detect_linear_relation,
-    matching_cases,
 )
 from .textio import format_poset_text, parse_poset_text
 
@@ -190,12 +191,8 @@ def _check_collinearity_unique(lattice: Lattice) -> list[str]:
             # Intersecting chains degenerate the same way: projections
             # landing on a shared element satisfy two identity blocks.
             continue
-        for x in lattice.poset.events():
-            if x in on_chain:
-                continue
-            try:
-                matched = matching_cases(x, p.chain, q.chain)
-            except MissingProjectionError:
+        for x, matched in enumerate(_collinearity_table(p.chain, q.chain)):
+            if x in on_chain or matched is None:
                 continue
             if len(matched) > 1:
                 bad.append(
@@ -220,14 +217,13 @@ def _check_self_duality(lattice: Lattice) -> list[str]:
         p, q = lattice.chains[a], lattice.chains[b]
         p_rev = Chain(reversed_poset, p.elements[::-1], p.name)
         q_rev = Chain(reversed_poset, q.elements[::-1], q.name)
-        for x in lattice.poset.events():
-            try:
-                direct = matching_cases(x, p.chain, q.chain)
-                dual = matching_cases(x, p_rev, q_rev)
-            except MissingProjectionError:
+        direct_table = _collinearity_table(p.chain, q.chain)
+        dual_table = _collinearity_table(p_rev, q_rev)
+        for x, (direct, dual) in enumerate(zip(direct_table, dual_table)):
+            if direct is None or dual is None:
                 continue
-            got = dual[0] if dual else CollinearityCase.NOT_COLLINEAR
-            want = swap[direct[0] if direct else CollinearityCase.NOT_COLLINEAR]
+            got = _case_of(dual)
+            want = swap[_case_of(direct)]
             if want in (CollinearityCase.I, CollinearityCase.II, CollinearityCase.III):
                 if got is not want:
                     bad.append(
@@ -340,14 +336,8 @@ def _check_distance_constancy(lattice: Lattice) -> list[str]:
 
 def _between_events(lattice: Lattice, p: ValuedChain, q: ValuedChain) -> list[int]:
     """Events between (P, Q), in event order; unclassifiable ones are not."""
-    between = []
-    for x in lattice.poset.events():
-        try:
-            if betweenness_of(x, p.chain, q.chain) is Betweenness.BETWEEN:
-                between.append(x)
-        except MissingProjectionError:
-            continue
-    return between
+    table = _collinearity_table(p.chain, q.chain)
+    return [x for x, matched in enumerate(table) if _side(matched) is Betweenness.BETWEEN]
 
 
 def _two_chain_pairs(

@@ -386,3 +386,20 @@ def test_scoped_chain_distance_refuses_elements_outside_windows(lattice12):
                     chain_distance(p, t, a, b, *windows)
     with pytest.raises(OutOfRangeError):
         chain_distance(p, t, p.elements[4], t.elements[6], (2, 9), (0, 5))
+
+
+def test_not_collinear_endpoint_is_refused():
+    # The endpoint matches no identity block, so it is on no side of the
+    # chains; only an endpoint with a missing projection is trusted.
+    from eventposet import betweenness_of, check_coordinated, generate_random
+
+    poset = generate_random(578, 12, 0.4)
+    p = make_valued_chain(poset, (7, 1, 11, 2), range(4), "P")
+    q = make_valued_chain(poset, (8, 6, 9), range(3), "Q")
+    assert check_coordinated(p, q)
+    assert betweenness_of(10, p.chain, q.chain) is Betweenness.NONE
+    for interval in (GeneralizedInterval(10, 6), GeneralizedInterval(6, 10)):
+        with pytest.raises(NotBetweenError):
+            interval_pair_two_chains(interval, p, q)
+        with pytest.raises(NotBetweenError):
+            split_at_artificial_event(interval, p, q)

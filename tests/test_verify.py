@@ -43,3 +43,22 @@ def test_projection_monotonicity_sweep_reports_a_doctored_table():
     bad = verify._check_projection_monotone(lattice.poset, [chain])
     assert f"forward monotonicity broken at 1 <= {top}" in bad
     assert f"projection sandwich broken at {top} on 'P'" in bad
+
+
+def test_collinearity_sweeps_report_a_doctored_table():
+    from eventposet.structure import CollinearityCase, _collinearity_table
+
+    lattice = standard_lattice(8, 8)
+    assert verify._check_collinearity_unique(lattice) == []
+    assert verify._check_self_duality(lattice) == []
+    p, q = lattice.chains["P"], lattice.chains["Q"]
+    table = _collinearity_table(p.chain, q.chain)
+    off_chains = set(lattice.poset.events()) - set(p.elements) - set(q.elements)
+    x = min(x for x in off_chains if table[x] == (CollinearityCase.II,))
+    # Two blocks at once, then a side the dual does not share.
+    table[x] = (CollinearityCase.II, CollinearityCase.III)
+    bad = verify._check_collinearity_unique(lattice)
+    assert f"event {x} matches cases ['II', 'III'] against P, Q" in bad
+    table[x] = (CollinearityCase.I,)
+    bad = verify._check_self_duality(lattice)
+    assert f"event {x} flips from I to II under order reversal against P, Q" in bad
