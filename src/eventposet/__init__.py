@@ -28,6 +28,7 @@ from .errors import (
     DifferentChainsError,
     EmptyWindowError,
     EventPosetError,
+    FloatRangeError,
     FormatError,
     InvalidIdError,
     MissingProjectionError,

@@ -9,6 +9,7 @@ its endpoint values and is additive under joins.
 """
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,6 +18,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     DifferentChainsError,
+    FormatError,
     NotAChainError,
     NotAdjacentError,
     NotIsotonicError,
@@ -28,10 +30,51 @@ _T = TypeVar("_T")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Normalize ints, strings like ``3/2``, and rationals to Fraction."""
+    """Normalize ints, strings like ``3/2`` (read by :func:`_parse_rational`),
+    and rationals to Fraction."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return _parse_rational(value)
     return Fraction(value)
+
+
+# The grammar of ``Fraction(str)`` as of Python 3.11: a sign, then an
+# integer fraction such as ``-3/2`` or a decimal such as ``0.5``, ``.5`` or
+# ``1e-3``. ``match`` tests a whole token.
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL_TOKEN = re.compile(
+    rf"\s*[-+]?(?=\.?\d)(?:{_DIGITS})?"
+    rf"(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE](?P<exponent>[-+]?{_DIGITS}))?)"
+    r"\s*\Z"
+)
+
+# Bounds on a rational token: beyond them ``Fraction`` takes time that grows
+# with the exponent (seconds at 1e10000000). Within them a value, and the
+# product of two, stays under Python's 4300-digit int-to-str limit.
+_MAX_DIGITS = 1000
+_MAX_EXPONENT = 1000
+
+
+def _parse_rational(token: str) -> Fraction:
+    """The rational ``token`` spells, read as ``Fraction(token)`` reads it.
+
+    Raises FormatError naming the token when it is not a rational, has more
+    than ``_MAX_DIGITS`` digits, or an exponent beyond ``_MAX_EXPONENT``.
+    """
+    match = _RATIONAL_TOKEN.match(token)
+    if match is None:
+        raise FormatError(f"{token!r} is not a rational")
+    if sum(c.isdigit() for c in token) > _MAX_DIGITS:
+        raise FormatError(f"{token!r} has more than {_MAX_DIGITS} digits")
+    if abs(int(match["exponent"] or 0)) > _MAX_EXPONENT:
+        raise FormatError(
+            f"{token!r} has an exponent beyond {_MAX_EXPONENT} in magnitude"
+        )
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"{token!r} is not a rational") from None
 
 
 def _cached_per_partner(

@@ -19,9 +19,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .chains import ValuedChain
+from .chains import _RATIONAL_TOKEN, ValuedChain, _parse_rational
 from .dotexport import export_dot
-from .errors import EventPosetError
+from .errors import EventPosetError, FormatError
 from .generators import generate_random, generate_simplex, standard_lattice
 from .intervals import (
     GeneralizedInterval,
@@ -52,7 +52,7 @@ from .structure import (
     _side,
     detect_linear_relation,
 )
-from .textio import _RATIONAL_TOKEN, _parse_rational, format_poset_text, parse_poset_text
+from .textio import format_poset_text, parse_poset_text
 from .verify import run_all, run_for
 
 
@@ -110,7 +110,7 @@ def _rational(text: str) -> Fraction:
     bounded as in the text format."""
     try:
         return _parse_rational(text)
-    except ValueError as exc:
+    except FormatError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

@@ -103,4 +103,8 @@ class ChainEscapesWindowError(EventPosetError):
 
 
 class FormatError(EventPosetError):
-    """Malformed poset text input."""
+    """Malformed poset text input, or a malformed or oversized rational string."""
+
+
+class FloatRangeError(EventPosetError):
+    """An inexact result is beyond the largest or below the smallest normal float."""

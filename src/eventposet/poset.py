@@ -5,6 +5,8 @@ that is transitive and antisymmetric, so the set of events forms a poset.
 The reflexive-transitive closure is stored as one Python-int bitmask per
 event (bit ``y`` of row ``x`` set iff ``x <= y``), which makes ``leq`` a
 single bit test and keeps exhaustive sweeps over desk-scale posets cheap.
+The cover edges (the Hasse diagram) are the input relations that the same
+pass over the events finds not already implied by the closure.
 
 Posets are immutable after :func:`build_poset`; every downstream structure
 (chains, projections, interval quantification) caches against the closure,
@@ -94,13 +96,10 @@ class Poset:
         return self._covers
 
     def reverse(self) -> "Poset":
-        """The dual poset, with the order relation flipped."""
-        flipped = [0] * self._count
-        for x in range(self._count):
-            for y in _iter_bits(self._above[x]):
-                flipped[y] |= 1 << x
-        covers = tuple(sorted((b, a) for a, b in self._covers))
-        return Poset(self._count, flipped, covers)
+        """The dual poset, built from the flipped cover edges."""
+        return build_poset(
+            self._count, [(b, a) for a, b in self._covers], max_events=self._count
+        )
 
     def __repr__(self) -> str:
         return f"Poset(events={self._count}, covers={len(self._covers)})"
@@ -161,7 +160,8 @@ def build_poset(
 
     Redundant relations (already implied by transitivity) are accepted
     silently. The stored cover set is the transitive reduction regardless
-    of how the input was phrased.
+    of how the input was phrased: the input relations that the closure
+    pass finds not yet implied.
 
     Raises:
         InvalidIdError: an endpoint is outside ``0..event_count-1``.
@@ -200,32 +200,21 @@ def build_poset(
         leftover = [v for v in range(event_count) if indegree[v] > 0]
         raise CycleDetectedError(_find_cycle(adjacency, leftover))
 
-    # Reflexive-transitive closure, accumulated against topological order.
+    # Closure and covers in one pass against topological order. Every cover
+    # is an input relation (a DAG's transitive reduction is a subset of its
+    # edges). A successor of v below w ranks lower than w, so with successors
+    # visited by rank, v -> w is a cover exactly when bit w is not yet set.
+    rank = {v: i for i, v in enumerate(topo)}
     above = [0] * event_count
+    covers: list[tuple[int, int]] = []
     for v in reversed(topo):
         bits = 1 << v
-        for w in adjacency[v]:
-            bits |= above[w]
+        for w in sorted(adjacency[v], key=rank.__getitem__):
+            if not (bits >> w) & 1:
+                covers.append((v, w))
+                bits |= above[w]
         above[v] = bits
-
-    # Covers: strictly-above elements not above any other strictly-above
-    # one. Processing only surviving candidates prunes whole cones early,
-    # which keeps long chains near-linear instead of cubic.
-    covers: list[tuple[int, int]] = []
-    for u in range(event_count):
-        candidates = above[u] ^ (1 << u)
-        processed = 0
-        while True:
-            pending = candidates & ~processed
-            if not pending:
-                break
-            low = pending & -pending
-            processed |= low
-            candidates &= ~(above[low.bit_length() - 1] ^ low)
-        for w in _iter_bits(candidates):
-            covers.append((u, w))
     covers.sort()
-
     return Poset(event_count, above, tuple(covers))
 
 

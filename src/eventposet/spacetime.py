@@ -11,12 +11,16 @@ Results stay exact rationals whenever the needed square roots are exact
 (the lattice generators are arranged so they are); otherwise values fall
 back to floats with a 1e-12 accuracy contract. The one exact-or-float
 decision is :func:`_sqrt`; Python's mixed ``Fraction``/``float``
-arithmetic carries a float root, or a float input, through the rest.
+arithmetic carries a float root, or a float input, through the rest. A
+float root, or a component scaled by one, is rounded once from an exact
+rational, and one outside the normal float range raises FloatRangeError.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -24,6 +28,7 @@ from .chains import ValuedChain, as_fraction
 from .errors import (
     CoincidentChainsError,
     DegenerateTransformError,
+    FloatRangeError,
     MissingProjectionError,
     OutOfRangeError,
 )
@@ -118,10 +123,31 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+def _to_float(value: Fraction | float) -> float:
+    """``value`` rounded to a float; FloatRangeError unless zero or normal."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if value and not sys.float_info.min <= abs(result) < math.inf:
+        if isinstance(value, Fraction):
+            value = Decimal(value.numerator) / value.denominator
+        raise FloatRangeError(f"inexact result {Decimal(value):.6e} is outside the float range")
+    return result
+
+
 def _sqrt(value: Fraction | float) -> Fraction | float:
     """Exact root of a rational square, else the float root."""
-    root = exact_sqrt(value) if isinstance(value, Fraction) else None
-    return root if root is not None else math.sqrt(float(value))
+    if isinstance(value, float):
+        return math.sqrt(value)
+    root = exact_sqrt(value)
+    if root is not None:
+        return root
+    # isqrt of value * 4**k, with k chosen so that the integer root has 64
+    # bits or more, is the root times 2**k to better than 2**-63 relative.
+    num, den = value.numerator, value.denominator
+    k = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    return _to_float(Fraction(math.isqrt((num << 2 * k) // den), 1 << k))
 
 
 def interval_scalar(p: IntervalPair) -> ScalarResult:
@@ -152,7 +178,12 @@ def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
     is a rational square, to 1e-12 otherwise.
     """
     factor = _sqrt(t.m / t.n)
-    return IntervalPair(p.first * factor, p.second / factor, p.basis, p.chains)
+    if isinstance(factor, Fraction):
+        return IntervalPair(p.first * factor, p.second / factor, p.basis, p.chains)
+    # Round the exact product once; Fraction * float first rounds, or overflows.
+    exact = Fraction(factor)
+    first, second = _to_float(p.first * exact), _to_float(p.second / exact)
+    return IntervalPair(first, second, p.basis, p.chains)
 
 
 def beta(t: PairTransform) -> Fraction:

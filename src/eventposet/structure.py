@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .chains import Chain, ValuedChain, _cached_per_partner
 from .errors import (
@@ -87,44 +88,30 @@ class LinearRelation:
             raise ValueError("projection step lengths cannot be negative")
 
 
-def _case_patterns(px, pbx, qx, qbx, p_chain, q_chain):
-    """The five identity blocks, as lazy checks.
-
-    Each entry is (case, [(lhs, direction, chain, argument), ...]) where
-    the identity asserts lhs == project(argument, chain, direction); lhs
-    and argument are among the four direct projections ``px`` ... ``qbx``
-    of the event (or stand-ins for them). A composite whose projection
-    does not exist simply fails its identity.
-    """
-    F, B = forward_project, backward_project
-    return (
-        (CollinearityCase.I, ((px, B, p_chain, qx), (qx, F, q_chain, px),
-                              (pbx, F, p_chain, qbx), (qbx, B, q_chain, pbx))),
-        (CollinearityCase.II, ((px, F, p_chain, qbx), (qx, F, q_chain, pbx),
-                               (pbx, B, p_chain, qx), (qbx, B, q_chain, px))),
-        (CollinearityCase.III, ((px, F, p_chain, qx), (qx, B, q_chain, px),
-                                (pbx, B, p_chain, qbx), (qbx, F, q_chain, pbx))),
-        (CollinearityCase.IV, ((px, F, p_chain, qx), (qx, B, q_chain, px),
-                               (pbx, F, p_chain, qbx), (qbx, B, q_chain, pbx))),
-        (CollinearityCase.V, ((px, B, p_chain, qx), (qx, F, q_chain, px),
-                              (pbx, B, p_chain, qbx), (qbx, F, q_chain, pbx))),
-    )
+# The five identity blocks. Slots 0..3 stand for the four direct
+# projections of an event x: onto P forward, P backward, Q forward and Q
+# backward. An identity (lhs, image, argument) asserts that the projection
+# of slot ``argument`` in the direction and onto the chain of slot ``image``
+# is slot ``lhs``; a composite projection that does not exist fails it.
+_CASE_IDENTITIES = (
+    (CollinearityCase.I, ((0, 1, 2), (2, 2, 0), (1, 0, 3), (3, 3, 1))),
+    (CollinearityCase.II, ((0, 0, 3), (2, 2, 1), (1, 1, 2), (3, 3, 0))),
+    (CollinearityCase.III, ((0, 0, 2), (2, 3, 0), (1, 1, 3), (3, 2, 1))),
+    (CollinearityCase.IV, ((0, 0, 2), (2, 3, 0), (1, 0, 3), (3, 3, 1))),
+    (CollinearityCase.V, ((0, 1, 2), (2, 2, 0), (1, 1, 3), (3, 2, 1))),
+)
 
 
 def matching_cases(x: EventId, p_chain: Chain, q_chain: Chain) -> tuple[CollinearityCase, ...]:
     """All identity blocks that hold for ``x``, derived afresh from its
     projections: the uncached reference that the collinearity table is
     tested against. The library itself reads the table."""
-    px, pbx = _project_both_ways(x, p_chain)
-    qx, qbx = _project_both_ways(x, q_chain)
-    matched = []
-    for case, identities in _case_patterns(px, pbx, qx, qbx, p_chain, q_chain):
-        if all(
-            direction(argument, chain) == lhs
-            for lhs, direction, chain, argument in identities
-        ):
-            matched.append(case)
-    return tuple(matched)
+    slots = (*_project_both_ways(x, p_chain), *_project_both_ways(x, q_chain))
+    projectors = [partial(project, chain=chain) for chain in (p_chain, q_chain)
+                  for project in (forward_project, backward_project)]
+    return tuple(case for case, identities in _CASE_IDENTITIES
+                 if all(projectors[image](slots[argument]) == slots[lhs]
+                        for lhs, image, argument in identities))
 
 
 def _check_same_poset(a: Chain, b: Chain) -> None:
@@ -154,45 +141,29 @@ def _collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
 
 
 def _build_collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
-    """``_case_patterns`` evaluated for every event over the projection
+    """``_CASE_IDENTITIES`` evaluated for every event over the projection
     tables of the two chains, so each composite projection is a list read."""
     _check_same_poset(p_chain, q_chain)
-    # The projection of every event, per direction and chain.
-    images = {}
-    for chain in (p_chain, q_chain):
-        for direction, forward in ((forward_project, True), (backward_project, False)):
-            elements = chain.elements
-            images[direction, id(chain)] = [
-                None if position is None else elements[position]
-                for position in _projection_positions(chain, forward)
-            ]
-    # The patterns are written over the four direct projections of x; given
-    # the slot numbers 0..3 in their place, each identity becomes
-    # (lhs slot, projections of one direction and chain, argument slot).
-    blocks = [
-        (case, [(lhs, images[direction, id(chain)], argument)
-                for lhs, direction, chain, argument in identities])
-        for case, identities in _case_patterns(0, 1, 2, 3, p_chain, q_chain)
+    # The projection of every event, per slot.
+    images = [
+        [None if position is None else chain.elements[position]
+         for position in _projection_positions(chain, forward)]
+        for chain in (p_chain, q_chain)
+        for forward in (True, False)
     ]
-    direct = zip(
-        images[forward_project, id(p_chain)],
-        images[backward_project, id(p_chain)],
-        images[forward_project, id(q_chain)],
-        images[backward_project, id(q_chain)],
-    )
     # Entries share one tuple per distinct outcome, so a table costs a
     # pointer per event.
     interned: dict[tuple[CollinearityCase, ...], tuple[CollinearityCase, ...]] = {}
     table: _CaseTable = []
-    for slots in direct:
+    for slots in zip(*images):
         if None in slots:
             table.append(None)
             continue
         matched = tuple(
             case
-            for case, identities in blocks
+            for case, identities in _CASE_IDENTITIES
             if all(
-                image[slots[argument]] == slots[lhs]
+                images[image][slots[argument]] == slots[lhs]
                 for lhs, image, argument in identities
             )
         )
@@ -241,12 +212,9 @@ def betweenness_of(x: EventId, p_chain: Chain, q_chain: Chain) -> Betweenness:
 
 
 def is_properly_collinear(x: EventId, p_chain: Chain, q_chain: Chain) -> bool:
-    """True for the order-reversal-invariant cases I, II, III."""
-    return collinearity_case(x, p_chain, q_chain) in (
-        CollinearityCase.I,
-        CollinearityCase.II,
-        CollinearityCase.III,
-    )
+    """True for the order-reversal-invariant cases I, II, III: the cases
+    that place x on a side."""
+    return collinearity_case(x, p_chain, q_chain) in _BETWEENNESS_OF_CASE
 
 
 def chain_properly_collinear(x_chain: Chain, p_chain: Chain, q_chain: Chain) -> bool:

@@ -12,11 +12,10 @@ fractions like ``3/2`` and decimals like ``0.5`` or ``1e-3``, with at most
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Mapping
 
-from .chains import ValuedChain, make_valued_chain
+from .chains import ValuedChain, _parse_rational, make_valued_chain
 from .errors import FormatError
 from .poset import Poset, _check_event_count, build_poset
 
@@ -99,43 +98,5 @@ def _parse_int(token: str, lineno: int) -> int:
 def _parse_fraction(token: str, lineno: int) -> Fraction:
     try:
         return _parse_rational(token)
-    except ValueError as exc:
+    except FormatError as exc:
         raise FormatError(f"line {lineno}: {exc}") from None
-
-
-# The grammar of ``Fraction(str)`` as of Python 3.11: a sign, then an
-# integer fraction such as ``-3/2`` or a decimal such as ``0.5``, ``.5`` or
-# ``1e-3``. ``match`` tests a whole token.
-_DIGITS = r"\d+(?:_\d+)*"
-_RATIONAL_TOKEN = re.compile(
-    rf"\s*[-+]?(?=\.?\d)(?:{_DIGITS})?"
-    rf"(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE](?P<exponent>[-+]?{_DIGITS}))?)"
-    r"\s*\Z"
-)
-
-# Bounds on a rational token: beyond them ``Fraction`` takes time that grows
-# with the exponent (seconds at 1e10000000). Within them a value, and the
-# product of two, stays under Python's 4300-digit int-to-str limit.
-_MAX_DIGITS = 1000
-_MAX_EXPONENT = 1000
-
-
-def _parse_rational(token: str) -> Fraction:
-    """The rational ``token`` spells, read as ``Fraction(token)`` reads it.
-
-    Raises ValueError naming the token when it is not a rational, has more
-    than ``_MAX_DIGITS`` digits, or an exponent beyond ``_MAX_EXPONENT``.
-    """
-    match = _RATIONAL_TOKEN.match(token)
-    if match is None:
-        raise ValueError(f"{token!r} is not a rational")
-    if sum(c.isdigit() for c in token) > _MAX_DIGITS:
-        raise ValueError(f"{token!r} has more than {_MAX_DIGITS} digits")
-    if abs(int(match["exponent"] or 0)) > _MAX_EXPONENT:
-        raise ValueError(
-            f"{token!r} has an exponent beyond {_MAX_EXPONENT} in magnitude"
-        )
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{token!r} is not a rational") from None

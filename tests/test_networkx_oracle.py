@@ -22,17 +22,53 @@ def _random_dag(seed: int) -> tuple[int, list[tuple[int, int]]]:
     return n, relations
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_closure_and_reduction_match_networkx(seed):
-    n, relations = _random_dag(seed)
-    poset = build_poset(n, relations)
+def _graph(n: int, relations: list[tuple[int, int]]):
     graph = nx.DiGraph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(relations)
+    return graph
+
+
+def _assert_matches(poset, graph) -> None:
     closure = nx.transitive_closure_dag(graph)
-    for x in range(n):
+    for x in range(graph.number_of_nodes()):
         expected = 1 << x
         for y in closure.successors(x):
             expected |= 1 << y
         assert poset.above_bits(x) == expected
     assert poset.cover_edges() == tuple(sorted(nx.transitive_reduction(graph).edges()))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_closure_and_reduction_match_networkx(seed):
+    n, relations = _random_dag(seed)
+    _assert_matches(build_poset(n, relations), _graph(n, relations))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reverse_matches_networkx(seed):
+    n, relations = _random_dag(seed)
+    _assert_matches(build_poset(n, relations).reverse(), nx.reverse(_graph(n, relations)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_duplicated_relations_in_shuffled_order_match_networkx(seed):
+    # Duplicates and the input order must not change which relations are
+    # found to be covers.
+    n, relations = _random_dag(seed)
+    rng = random.Random(seed)
+    shuffled = relations + rng.choices(relations, k=len(relations)) if relations else []
+    rng.shuffle(shuffled)
+    _assert_matches(build_poset(n, shuffled), _graph(n, relations))
+
+
+def test_large_input_matches_networkx():
+    rng = random.Random(1024)
+    n = 1024
+    ids = list(range(n))
+    rng.shuffle(ids)
+    relations = [
+        (ids[a], ids[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.004
+    ]
+    rng.shuffle(relations)
+    _assert_matches(build_poset(n, relations), _graph(n, relations))

@@ -129,3 +129,13 @@ def test_reduction_rebuild_preserves_closure(data):
     rebuilt = build_poset(n, poset.cover_edges())
     for x in poset.events():
         assert rebuilt.above_bits(x) == poset.above_bits(x)
+
+
+def test_reverse_above_the_default_cap():
+    # The dual is rebuilt with the poset's own size as its cap.
+    n = 5000
+    poset = build_poset(n, [(i, i + 1) for i in range(n - 1)], max_events=n)
+    rev = poset.reverse()
+    assert rev.event_count == n
+    assert rev.leq(n - 1, 0) and not rev.leq(0, n - 1)
+    assert rev.cover_edges() == tuple((i + 1, i) for i in range(n - 1))
