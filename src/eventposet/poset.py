@@ -5,8 +5,10 @@ that is transitive and antisymmetric, so the set of events forms a poset.
 The reflexive-transitive closure is stored as one Python-int bitmask per
 event (bit ``y`` of row ``x`` set iff ``x <= y``), which makes ``leq`` a
 single bit test and keeps exhaustive sweeps over desk-scale posets cheap.
-The cover edges (the Hasse diagram) are the input relations that the same
-pass over the events finds not already implied by the closure.
+One depth-first pass over the input relations orders the events, names a
+cycle if there is one, and derives both the closure and the cover edges
+(the Hasse diagram): the input relations not already implied when their
+source finishes.
 
 Posets are immutable after :func:`build_poset`; every downstream structure
 (chains, projections, interval quantification) caches against the closure,
@@ -14,7 +16,6 @@ so mutation requires a rebuild. A built poset is safe for concurrent reads.
 """
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -23,6 +24,9 @@ from .errors import CycleDetectedError, InvalidIdError
 EventId = int
 
 DEFAULT_MAX_EVENTS = 4096
+
+_UNVISITED = -1
+_ON_STACK = -2
 
 
 class Comparability(Enum):
@@ -105,41 +109,6 @@ class Poset:
         return f"Poset(events={self._count}, covers={len(self._covers)})"
 
 
-def _find_cycle(adjacency: list[list[int]], candidates: Iterable[int]) -> list[int]:
-    """Locate one directed cycle among ``candidates`` (known to exist)."""
-    color = {}  # 0 visiting, 1 done
-    parent: dict[int, int] = {}
-    for start in candidates:
-        if start in color:
-            continue
-        stack = [(start, iter(adjacency[start]))]
-        color[start] = 0
-        while stack:
-            node, successors = stack[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in color:
-                    color[succ] = 0
-                    parent[succ] = node
-                    stack.append((succ, iter(adjacency[succ])))
-                    advanced = True
-                    break
-                if color[succ] == 0:
-                    # Found a back edge; walk parents to recover the loop.
-                    path = [node]
-                    cur = node
-                    while cur != succ:
-                        cur = parent[cur]
-                        path.append(cur)
-                    path.reverse()
-                    path.append(path[0])
-                    return path
-            if not advanced:
-                color[node] = 1
-                stack.pop()
-    raise AssertionError("no cycle found among candidate events")
-
-
 def _check_event_count(event_count: int, max_events: int = DEFAULT_MAX_EVENTS) -> None:
     """Raise ValueError unless ``0 <= event_count <= max_events``."""
     if event_count < 0:
@@ -158,10 +127,11 @@ def build_poset(
 ) -> Poset:
     """Build a poset from influence statements ``a -> b`` (a precedes b).
 
-    Redundant relations (already implied by transitivity) are accepted
-    silently. The stored cover set is the transitive reduction regardless
-    of how the input was phrased: the input relations that the closure
-    pass finds not yet implied.
+    Redundant and repeated relations are accepted silently. The stored
+    cover set is the transitive reduction regardless of how the input was
+    phrased. One depth-first pass derives the closure and the covers; a
+    relation that reaches an event still on its stack closes a cycle, and
+    the stack from that event back to it is the witness.
 
     Raises:
         InvalidIdError: an endpoint is outside ``0..event_count-1``.
@@ -172,48 +142,50 @@ def build_poset(
     _check_event_count(event_count, max_events)
 
     adjacency: list[list[int]] = [[] for _ in range(event_count)]
-    seen: set[tuple[int, int]] = set()
     for a, b in relations:
         for end in (a, b):
             if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < event_count:
                 raise InvalidIdError(f"event id {end!r} not in 0..{event_count - 1}")
         if a == b:
             raise CycleDetectedError((a, a))
-        if (a, b) not in seen:
-            seen.add((a, b))
-            adjacency[a].append(b)
+        adjacency[a].append(b)
 
-    # Kahn topological sort; leftovers witness a cycle.
-    indegree = [0] * event_count
-    for a, b in seen:
-        indegree[b] += 1
-    ready = deque(v for v in range(event_count) if indegree[v] == 0)
-    topo: list[int] = []
-    while ready:
-        v = ready.popleft()
-        topo.append(v)
-        for w in adjacency[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
-    if len(topo) < event_count:
-        leftover = [v for v in range(event_count) if indegree[v] > 0]
-        raise CycleDetectedError(_find_cycle(adjacency, leftover))
-
-    # Closure and covers in one pass against topological order. Every cover
-    # is an input relation (a DAG's transitive reduction is a subset of its
-    # edges). A successor of v below w ranks lower than w, so with successors
-    # visited by rank, v -> w is a cover exactly when bit w is not yet set.
-    rank = {v: i for i, v in enumerate(topo)}
+    # One depth-first pass. state[v] is _UNVISITED, _ON_STACK, or v's rank:
+    # finish numbers count down, so a rank is a topological position. When v
+    # finishes, all its successors have ranks; visited by rank, a successor
+    # below w is visited before w, so v -> w is a cover exactly when bit w is
+    # not yet set. Every cover is an input relation, and a repeated relation
+    # finds its bit set.
+    state = [_UNVISITED] * event_count
     above = [0] * event_count
     covers: list[tuple[int, int]] = []
-    for v in reversed(topo):
-        bits = 1 << v
-        for w in sorted(adjacency[v], key=rank.__getitem__):
-            if not (bits >> w) & 1:
-                covers.append((v, w))
-                bits |= above[w]
-        above[v] = bits
+    rank = event_count
+    for root in range(event_count):
+        if state[root] != _UNVISITED:
+            continue
+        state[root] = _ON_STACK
+        path = [root]
+        pending = [iter(adjacency[root])]
+        while pending:
+            for w in pending[-1]:
+                if state[w] == _UNVISITED:
+                    state[w] = _ON_STACK
+                    path.append(w)
+                    pending.append(iter(adjacency[w]))
+                    break
+                if state[w] == _ON_STACK:
+                    raise CycleDetectedError(path[path.index(w):] + [w])
+            else:
+                v = path.pop()
+                pending.pop()
+                bits = 1 << v
+                for w in sorted(adjacency[v], key=state.__getitem__):
+                    if not (bits >> w) & 1:
+                        covers.append((v, w))
+                        bits |= above[w]
+                above[v] = bits
+                rank -= 1
+                state[v] = rank
     covers.sort()
     return Poset(event_count, above, tuple(covers))
 

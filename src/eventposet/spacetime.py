@@ -10,10 +10,10 @@ dx = (first - second)/2 is a Lorentz boost with beta = (m - n)/(m + n).
 Results stay exact rationals whenever the needed square roots are exact
 (the lattice generators are arranged so they are); otherwise values fall
 back to floats with a 1e-12 accuracy contract. The one exact-or-float
-decision is :func:`_sqrt`; Python's mixed ``Fraction``/``float``
-arithmetic carries a float root, or a float input, through the rest. A
-float root, or a component scaled by one, is rounded once from an exact
-rational, and one outside the normal float range raises FloatRangeError.
+decision is :func:`_sqrt`. A float, whether a root or an input, stands
+for the exact rational it equals: a function with one among its operands
+computes exactly and rounds each result once, and a result outside the
+normal float range raises FloatRangeError.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .errors import (
     CoincidentChainsError,
     DegenerateTransformError,
     FloatRangeError,
-    MissingProjectionError,
     OutOfRangeError,
 )
 from .intervals import (
@@ -123,6 +122,12 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+def _out_of_range(value: Fraction | float) -> FloatRangeError:
+    if isinstance(value, Fraction):
+        value = Decimal(value.numerator) / value.denominator
+    return FloatRangeError(f"inexact result {Decimal(value):.6e} is outside the float range")
+
+
 def _to_float(value: Fraction | float) -> float:
     """``value`` rounded to a float; FloatRangeError unless zero or normal."""
     try:
@@ -130,10 +135,31 @@ def _to_float(value: Fraction | float) -> float:
     except OverflowError:
         result = math.inf
     if value and not sys.float_info.min <= abs(result) < math.inf:
-        if isinstance(value, Fraction):
-            value = Decimal(value.numerator) / value.denominator
-        raise FloatRangeError(f"inexact result {Decimal(value):.6e} is outside the float range")
+        raise _out_of_range(value)
     return result
+
+
+def _exact(*values: Fraction | float) -> tuple[tuple[Fraction, ...], bool]:
+    """``values`` with each float read as the rational it equals, and
+    whether any was a float; FloatRangeError for an infinite or NaN one."""
+    floats = [v for v in values if isinstance(v, float)]
+    if not floats:
+        return values, False
+    for v in floats:
+        if not math.isfinite(v):
+            raise _out_of_range(v)
+    return tuple(Fraction(v) if isinstance(v, float) else v for v in values), True
+
+
+def _exact_pair(p: IntervalPair) -> tuple[IntervalPair, bool]:
+    """:func:`_exact` of the components of ``p``, as a pair."""
+    (first, second), inexact = _exact(p.first, p.second)
+    return (pair(first, second) if inexact else p), inexact
+
+
+def _rounded(value: Fraction, inexact: bool) -> Fraction | float:
+    """``value`` rounded once by :func:`_to_float` if it came from a float."""
+    return _to_float(value) if inexact else value
 
 
 def _sqrt(value: Fraction | float) -> Fraction | float:
@@ -152,23 +178,25 @@ def _sqrt(value: Fraction | float) -> Fraction | float:
 
 def interval_scalar(p: IntervalPair) -> ScalarResult:
     """Product of the pair components, with its causal character."""
-    value = p.first * p.second
+    (first, second), inexact = _exact(p.first, p.second)
+    value = _rounded(first * second, inexact)
     return ScalarResult(value, _CHARACTER_OF_KIND[_kind_of_scalar(value)])
 
 
 def scalar_length(p: IntervalPair) -> ScalarLength:
     """sqrt(first * second); imaginary for antichain-like pairs."""
-    product = p.first * p.second
-    imaginary = product < 0
-    magnitude = -product if imaginary else product
-    return ScalarLength(_sqrt(magnitude), imaginary)
+    (first, second), inexact = _exact(p.first, p.second)
+    product = first * second
+    return ScalarLength(_rounded(_sqrt(abs(product)), inexact), product < 0)
 
 
 def minkowski_form(p: IntervalPair) -> tuple[Fraction, Fraction, Fraction]:
     """(scalar, dt^2, dx^2) with scalar = dt^2 - dx^2 exactly."""
-    dt = length_of_pair(p)
-    dx = distance_of_pair(p)
-    return p.first * p.second, dt * dt, dx * dx
+    exact, inexact = _exact_pair(p)
+    dt = length_of_pair(exact)
+    dx = distance_of_pair(exact)
+    values = (exact.first * exact.second, dt * dt, dx * dx)
+    return tuple(map(_to_float, values)) if inexact else values
 
 
 def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
@@ -178,12 +206,15 @@ def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
     is a rational square, to 1e-12 otherwise.
     """
     factor = _sqrt(t.m / t.n)
-    if isinstance(factor, Fraction):
-        return IntervalPair(p.first * factor, p.second / factor, p.basis, p.chains)
-    # Round the exact product once; Fraction * float first rounds, or overflows.
-    exact = Fraction(factor)
-    first, second = _to_float(p.first * exact), _to_float(p.second / exact)
-    return IntervalPair(first, second, p.basis, p.chains)
+    # Each component is rounded only if it or the factor is a float.
+    (first, exact_factor), first_inexact = _exact(p.first, factor)
+    (second, _), second_inexact = _exact(p.second, factor)
+    return IntervalPair(
+        _rounded(first * exact_factor, first_inexact),
+        _rounded(second / exact_factor, second_inexact),
+        p.basis,
+        p.chains,
+    )
 
 
 def beta(t: PairTransform) -> Fraction:
@@ -218,17 +249,25 @@ def compose_transforms(t1: PairTransform, t2: PairTransform) -> PairTransform:
 
 
 def to_coords(p: IntervalPair) -> SpacetimeCoords:
-    return SpacetimeCoords(length_of_pair(p), distance_of_pair(p))
+    exact, inexact = _exact_pair(p)
+    return SpacetimeCoords(
+        _rounded(length_of_pair(exact), inexact), _rounded(distance_of_pair(exact), inexact)
+    )
 
 
 def from_coords(coords: SpacetimeCoords) -> IntervalPair:
-    return IntervalPair(coords.dt + coords.dx, coords.dt - coords.dx)
+    (dt, dx), inexact = _exact(coords.dt, coords.dx)
+    return IntervalPair(_rounded(dt + dx, inexact), _rounded(dt - dx, inexact))
 
 
 def lorentz_apply(coords: SpacetimeCoords, t: PairTransform) -> SpacetimeCoords:
-    """Boost by :func:`lorentz_matrix`; identical to the pair-transform route."""
-    (g, bg), _ = lorentz_matrix(t)
-    return SpacetimeCoords(g * coords.dt + bg * coords.dx, bg * coords.dt + g * coords.dx)
+    """The boost of :func:`lorentz_matrix`; identical to the pair-transform
+    route. Computed as gamma * (dt + beta * dx) and gamma * (dx + beta * dt)
+    with the exact beta, so a float gamma is the only rounded operand.
+    """
+    b = beta(t)
+    (g, dt, dx), inexact = _exact(gamma(t), coords.dt, coords.dx)
+    return SpacetimeCoords(_rounded(g * (dt + b * dx), inexact), _rounded(g * (dx + b * dt), inexact))
 
 
 def pythagorean_join(
@@ -291,16 +330,12 @@ def element_chain_distance(x: EventId, p: ValuedChain, ref: EventId) -> Fraction
 
 
 def chain_separation(p: ValuedChain, q: ValuedChain) -> Fraction:
-    """Chain distance evaluated at the first mutually projecting elements."""
-    for p_event in p.elements:
-        for q_event in q.elements:
-            try:
-                return chain_distance(p, q, p_event, q_event)
-            except OutOfRangeError:
-                continue
-    raise MissingProjectionError(
-        f"chains {p.name!r} and {q.name!r} never mutually project"
-    )
+    """Chain distance evaluated at the first elements of both chains.
+
+    Coordinated chains project onto each other, so by monotonicity the
+    first element of each has a forward image on the other.
+    """
+    return chain_distance(p, q, p.elements[0], q.elements[0])
 
 
 def combine_projection_distances(d_xp, d_xq, d_yp, d_yq, d_pq):

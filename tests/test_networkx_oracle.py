@@ -2,8 +2,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eventposet import build_poset
+from eventposet import CycleDetectedError, build_poset
 
 nx = pytest.importorskip("networkx")
 
@@ -72,3 +73,31 @@ def test_large_input_matches_networkx():
     ]
     rng.shuffle(relations)
     _assert_matches(build_poset(n, relations), _graph(n, relations))
+
+
+@st.composite
+def _relation_lists(draw):
+    # At most 10 events; cycles, duplicates and self-relations all occur.
+    # Half the lists point every relation the same way along a random
+    # order of the ids, so that acyclic inputs are common too.
+    n = draw(st.integers(1, 10))
+    ids = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25))
+    if draw(st.booleans()):
+        pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+    return n, [(ids[a], ids[b]) for a, b in pairs]
+
+
+@settings(max_examples=400)
+@given(_relation_lists())
+def test_relation_lists_match_networkx_or_name_a_real_cycle(case):
+    n, relations = case
+    try:
+        poset = build_poset(n, relations)
+    except CycleDetectedError as exc:
+        cycle = exc.cycle
+        assert cycle[0] == cycle[-1]
+        assert all(step in relations for step in zip(cycle, cycle[1:]))
+        assert len(set(cycle[:-1])) == len(cycle) - 1
+        return
+    _assert_matches(poset, _graph(n, relations))

@@ -139,3 +139,19 @@ def test_reverse_above_the_default_cap():
     assert rev.event_count == n
     assert rev.leq(n - 1, 0) and not rev.leq(0, n - 1)
     assert rev.cover_edges() == tuple((i + 1, i) for i in range(n - 1))
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_total_order_of_the_cap_listed_in_reverse(descending):
+    # The forward chain makes the depth-first pass 4096 events deep; the
+    # descending one makes every event a root that reaches the ones before.
+    n = 4096
+    if descending:
+        relations = [(i + 1, i) for i in range(n - 1)]
+    else:
+        relations = [(i, i + 1) for i in reversed(range(n - 1))]
+    poset = build_poset(n, relations)
+    bottom, top = (n - 1, 0) if descending else (0, n - 1)
+    assert poset.above_bits(bottom) == (1 << n) - 1
+    assert poset.above_bits(top) == 1 << top
+    assert poset.cover_edges() == tuple(sorted(relations))

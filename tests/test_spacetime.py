@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,12 +10,15 @@ from eventposet import (
     Character,
     CoincidentChainsError,
     DegenerateTransformError,
+    EventPosetError,
+    FloatRangeError,
     MissingProjectionError,
     OutOfRangeError,
     PairTransform,
     SpacetimeCoords,
     apply_pair_transform,
     beta,
+    chain_distance,
     chain_separation,
     combine_projection_distances,
     compose_transforms,
@@ -22,17 +26,23 @@ from eventposet import (
     exact_sqrt,
     from_coords,
     gamma,
+    generate_random,
+    generate_simplex,
     interval_scalar,
     lorentz_apply,
     lorentz_matrix,
+    make_valued_chain,
+    maximal_chains,
     minkowski_form,
     pair,
     pythagorean_join,
     scalar_length,
     spherical_decompose,
+    standard_lattice,
     subspace_projection,
     to_coords,
 )
+from eventposet.verify import projection_lattice
 
 T41 = PairTransform(4, 1)
 
@@ -447,3 +457,112 @@ def test_scalar_length_exact_or_float(components, root, imaginary, inputs):
     else:
         magnitude = abs(components[0] * components[1])
         assert _is_float(got.value, math.sqrt(float(magnitude)))
+
+
+def test_lorentz_apply_rounds_each_float_result_once():
+    # The float gamma of an irrational boost is read as the rational it
+    # equals: a result beyond float range is a FloatRangeError, not an
+    # OverflowError, and one in range is the exact value rounded once.
+    with pytest.raises(FloatRangeError, match="1.060660e\\+400"):
+        lorentz_apply(SpacetimeCoords(10 ** 400, 0), PairTransform(2, 1))
+    with pytest.raises(FloatRangeError, match="Infinity"):
+        lorentz_apply(SpacetimeCoords(math.inf, 0.0), T41)
+    t = PairTransform(3, 7)
+    g, b = Fraction(gamma(t)), beta(t)
+    moved = lorentz_apply(SpacetimeCoords(3, 1), t)
+    assert (moved.dt, moved.dx) == (float(g * (3 + b)), float(g * (1 + 3 * b)))
+    exact = lorentz_apply(SpacetimeCoords(3, 1), T41)
+    assert (exact.dt, exact.dx) == (Fraction(9, 2), Fraction(7, 2))
+
+
+def test_interval_scalar_of_float_components_is_rounded_once():
+    with pytest.raises(FloatRangeError, match="3.000000e\\+400"):
+        interval_scalar(pair(1e200, 3e200))
+    scalar = interval_scalar(pair(0.1, -0.2))
+    assert scalar.value == float(Fraction(0.1) * Fraction(-0.2))
+    assert scalar.character is Character.SPACE_LIKE
+
+
+def test_scalar_length_of_float_components_is_rounded_once():
+    # The float product 3e400 overflows; the root of the exact one does not.
+    sigma = scalar_length(pair(1e200, -3e200))
+    assert sigma.imaginary and type(sigma.value) is float
+    exact = Fraction(1e200) * Fraction(3e200)
+    assert abs(Fraction(sigma.value) ** 2 / exact - 1) < Fraction(1, 10 ** 15)
+    with pytest.raises(FloatRangeError, match="Infinity"):
+        scalar_length(pair(math.inf, 1.0))
+
+
+def test_minkowski_form_of_float_components_is_rounded_once():
+    # The scalar is 1.0, but dt^2 is about 2.5e399.
+    with pytest.raises(FloatRangeError, match="2.500000e\\+399"):
+        minkowski_form(pair(1e200, 1e-200))
+    a, b = Fraction(0.1), Fraction(0.2)
+    assert minkowski_form(pair(0.1, 0.2)) == (
+        float(a * b), float(((a + b) / 2) ** 2), float(((a - b) / 2) ** 2))
+
+
+def test_to_coords_of_float_components_is_rounded_once():
+    # The float sum 2e308 overflows; the exact half-sum is 1e308.
+    coords = to_coords(pair(1e308, 1e308))
+    assert (coords.dt, coords.dx) == (1e308, 0.0) and type(coords.dx) is float
+    with pytest.raises(FloatRangeError, match="Infinity"):
+        to_coords(pair(1.0, -math.inf))
+    with pytest.raises(FloatRangeError, match="NaN"):
+        to_coords(pair(math.nan, 1.0))
+
+
+def test_from_coords_of_float_coordinates_is_rounded_once():
+    with pytest.raises(FloatRangeError, match="2.000000e\\+308"):
+        from_coords(SpacetimeCoords(1e308, 1e308))
+    back = from_coords(SpacetimeCoords(0.1, 0.2))
+    assert (back.first, back.second) == (
+        float(Fraction(0.1) + Fraction(0.2)), float(Fraction(0.1) - Fraction(0.2)))
+
+
+def _chain_separation_by_search(p, q):
+    """The element-pair search that chain_separation used to run."""
+    for p_event in p.elements:
+        for q_event in q.elements:
+            try:
+                return chain_distance(p, q, p_event, q_event)
+            except OutOfRangeError:
+                continue
+    raise MissingProjectionError(
+        f"chains {p.name!r} and {q.name!r} never mutually project"
+    )
+
+
+def _valued_chain_sets():
+    yield standard_lattice(8, 8).chains
+    yield projection_lattice().chains
+    for n in range(1, 9):
+        yield generate_simplex(n)[1]
+    # Random walks with non-decreasing values, on a lattice and on DAGs.
+    rng = random.Random(12)
+    for seed in range(12):
+        poset = (standard_lattice(6, 6).poset if seed % 2 else
+                 generate_random(seed, 30, rng.choice((0.1, 0.3))))
+        yield {
+            f"W{i}": make_valued_chain(
+                poset, walk, list(accumulate(rng.randint(0, 2) for _ in walk)), f"W{i}"
+            )
+            for i, walk in enumerate(maximal_chains(poset, seed, 4))
+        }
+
+
+def _outcome(fn, p, q):
+    try:
+        return fn(p, q)
+    except EventPosetError as exc:
+        return type(exc), str(exc)
+
+
+def test_chain_separation_matches_the_element_pair_search():
+    outcomes = set()
+    for chains in _valued_chain_sets():
+        for p, q in product(chains.values(), repeat=2):
+            got = _outcome(chain_separation, p, q)
+            assert got == _outcome(_chain_separation_by_search, p, q)
+            outcomes.add(type(got) is tuple)
+    assert outcomes == {True, False}
