@@ -12,12 +12,14 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     DifferentChainsError,
+    FloatRangeError,
     FormatError,
     NotAChainError,
     NotAdjacentError,
@@ -31,12 +33,16 @@ _T = TypeVar("_T")
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Normalize ints, strings like ``3/2`` (read by :func:`_parse_rational`),
-    and rationals to Fraction."""
+    rationals and finite floats to Fraction; FloatRangeError names an
+    infinite or NaN float as Decimal spells it."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         return _parse_rational(value)
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError):
+        raise FloatRangeError(f"{Decimal(value)} is not a finite number") from None
 
 
 # The grammar of ``Fraction(str)`` as of Python 3.11: a sign, then an

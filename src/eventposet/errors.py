@@ -107,4 +107,4 @@ class FormatError(EventPosetError):
 
 
 class FloatRangeError(EventPosetError):
-    """An inexact result is beyond the largest or below the smallest normal float."""
+    """An inexact result is outside the normal float range, or a float is not finite."""

@@ -6,16 +6,26 @@ closed-interval lengths obtained from projections. Pairs carry a basis
 tag (which quantification produced them) so that cross-basis arithmetic
 is rejected rather than silently wrong: componentwise addition only holds
 within one subspace.
+
+Components are exact rationals, or finite floats (1e-12 contract)
+downstream of an irrational root. A float stands for the exact rational it
+equals: each function that does arithmetic on components computes exactly
+and rounds each result once, raising FloatRangeError outside the normal
+float range. An infinite or NaN component is refused when a pair is built.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
 from .chains import ValuedChain, _cached_per_partner, as_fraction
 from .errors import (
     BasisMismatchError,
+    FloatRangeError,
     MissingProjectionError,
     NoSharedEndpointError,
     NotBetweenError,
@@ -56,6 +66,44 @@ class GeneralizedInterval:
     b: EventId
 
 
+def _component(value) -> Fraction | float:
+    """A finite float as it is; anything else, inf and NaN too, through as_fraction."""
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    return as_fraction(value)
+
+
+def _out_of_range(value: Fraction | float) -> FloatRangeError:
+    if isinstance(value, Fraction):
+        value = Decimal(value.numerator) / value.denominator
+    return FloatRangeError(f"inexact result {Decimal(value):.6e} is outside the float range")
+
+
+def _to_float(value: Fraction | float) -> float:
+    """``value`` rounded to a float; FloatRangeError unless zero or normal."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if value and not sys.float_info.min <= abs(result) < math.inf:
+        raise _out_of_range(value)
+    return result
+
+
+def _exact(*values: Fraction | float) -> tuple[tuple[Fraction, ...], bool]:
+    """``values`` with each float read as the rational it equals, and
+    whether any was a float."""
+    for v in values:
+        if isinstance(v, float):
+            return tuple(Fraction(v) if isinstance(v, float) else v for v in values), True
+    return values, False
+
+
+def _rounded(value: Fraction, inexact: bool) -> Fraction | float:
+    """``value`` rounded once by :func:`_to_float` if it came from a float."""
+    return _to_float(value) if inexact else value
+
+
 @dataclass(frozen=True)
 class IntervalPair:
     """Two-component quantification of an interval.
@@ -71,10 +119,8 @@ class IntervalPair:
     chains: tuple[ValuedChain, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.first, float):
-            object.__setattr__(self, "first", as_fraction(self.first))
-        if not isinstance(self.second, float):
-            object.__setattr__(self, "second", as_fraction(self.second))
+        object.__setattr__(self, "first", _component(self.first))
+        object.__setattr__(self, "second", _component(self.second))
 
     @property
     def is_symmetric(self) -> bool:
@@ -210,14 +256,16 @@ def interval_pair_two_chains(
     return IntervalPair(pb - pa, qb - qa, PairBasis.TWO_CHAIN, (p, q))
 
 
-def length_of_pair(p: IntervalPair) -> Fraction:
+def length_of_pair(p: IntervalPair) -> Fraction | float:
     """Chain-like extent: the mean of the components."""
-    return (p.first + p.second) / 2
+    (first, second), inexact = _exact(p.first, p.second)
+    return _rounded((first + second) / 2, inexact)
 
 
-def distance_of_pair(p: IntervalPair) -> Fraction:
+def distance_of_pair(p: IntervalPair) -> Fraction | float:
     """Antichain-like extent: half the component difference."""
-    return (p.first - p.second) / 2
+    (first, second), inexact = _exact(p.first, p.second)
+    return _rounded((first - second) / 2, inexact)
 
 
 def chain_distance(
@@ -261,7 +309,8 @@ def chain_distance(
 
 
 def decompose(p: IntervalPair) -> tuple[IntervalPair, IntervalPair]:
-    """Split into symmetric plus antisymmetric parts; they re-add exactly."""
+    """Split into symmetric plus antisymmetric parts; for a rational pair
+    they re-add exactly."""
     mean = length_of_pair(p)
     half_diff = distance_of_pair(p)
     symmetric = IntervalPair(mean, mean, p.basis, p.chains)
@@ -280,11 +329,12 @@ def _kind_of_scalar(scalar: Fraction | float) -> IntervalKind:
 
 
 def classify_interval(p: IntervalPair) -> IntervalClassification:
-    """Like signs are chain-like, opposite antichain-like, a zero
-    component projection-like. Pure means equal magnitudes; the (0, 0)
-    pair counts as pure projection-like."""
+    """Like signs are chain-like, opposite antichain-like, a zero component
+    projection-like, read on the exact values. Pure means equal magnitudes;
+    the (0, 0) pair counts as pure projection-like."""
+    (first, second), _ = _exact(p.first, p.second)
     return IntervalClassification(
-        _kind_of_scalar(p.first * p.second), abs(p.first) == abs(p.second)
+        _kind_of_scalar(first * second), abs(first) == abs(second)
     )
 
 
@@ -316,9 +366,11 @@ def join_intervals(
             f"{_chain_names(second_pair)}"
         )
     joined = GeneralizedInterval(first.a, second.b)
+    (a1, b1), first_inexact = _exact(first_pair.first, second_pair.first)
+    (a2, b2), second_inexact = _exact(first_pair.second, second_pair.second)
     summed = IntervalPair(
-        first_pair.first + second_pair.first,
-        first_pair.second + second_pair.second,
+        _rounded(a1 + b1, first_inexact),
+        _rounded(a2 + b2, second_inexact),
         first_pair.basis,
         first_pair.chains,
     )

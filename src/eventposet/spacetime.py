@@ -9,18 +9,13 @@ dx = (first - second)/2 is a Lorentz boost with beta = (m - n)/(m + n).
 
 Results stay exact rationals whenever the needed square roots are exact
 (the lattice generators are arranged so they are); otherwise values fall
-back to floats with a 1e-12 accuracy contract. The one exact-or-float
-decision is :func:`_sqrt`. A float, whether a root or an input, stands
-for the exact rational it equals: a function with one among its operands
-computes exactly and rounds each result once, and a result outside the
-normal float range raises FloatRangeError.
+back to floats. The one exact-or-float decision is :func:`_sqrt`; a float
+root, like a float component, follows the rule of :mod:`.intervals`.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -28,13 +23,16 @@ from .chains import ValuedChain, as_fraction
 from .errors import (
     CoincidentChainsError,
     DegenerateTransformError,
-    FloatRangeError,
     OutOfRangeError,
 )
 from .intervals import (
     IntervalKind,
     IntervalPair,
+    _component,
+    _exact,
     _kind_of_scalar,
+    _rounded,
+    _to_float,
     chain_distance,
     distance_of_pair,
     length_of_pair,
@@ -105,10 +103,8 @@ class SpacetimeCoords:
     dx: Fraction | float
 
     def __post_init__(self):
-        if not isinstance(self.dt, float):
-            object.__setattr__(self, "dt", as_fraction(self.dt))
-        if not isinstance(self.dx, float):
-            object.__setattr__(self, "dx", as_fraction(self.dx))
+        object.__setattr__(self, "dt", _component(self.dt))
+        object.__setattr__(self, "dx", _component(self.dx))
 
 
 def exact_sqrt(value: Fraction) -> Fraction | None:
@@ -122,50 +118,8 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-def _out_of_range(value: Fraction | float) -> FloatRangeError:
-    if isinstance(value, Fraction):
-        value = Decimal(value.numerator) / value.denominator
-    return FloatRangeError(f"inexact result {Decimal(value):.6e} is outside the float range")
-
-
-def _to_float(value: Fraction | float) -> float:
-    """``value`` rounded to a float; FloatRangeError unless zero or normal."""
-    try:
-        result = float(value)
-    except OverflowError:
-        result = math.inf
-    if value and not sys.float_info.min <= abs(result) < math.inf:
-        raise _out_of_range(value)
-    return result
-
-
-def _exact(*values: Fraction | float) -> tuple[tuple[Fraction, ...], bool]:
-    """``values`` with each float read as the rational it equals, and
-    whether any was a float; FloatRangeError for an infinite or NaN one."""
-    floats = [v for v in values if isinstance(v, float)]
-    if not floats:
-        return values, False
-    for v in floats:
-        if not math.isfinite(v):
-            raise _out_of_range(v)
-    return tuple(Fraction(v) if isinstance(v, float) else v for v in values), True
-
-
-def _exact_pair(p: IntervalPair) -> tuple[IntervalPair, bool]:
-    """:func:`_exact` of the components of ``p``, as a pair."""
-    (first, second), inexact = _exact(p.first, p.second)
-    return (pair(first, second) if inexact else p), inexact
-
-
-def _rounded(value: Fraction, inexact: bool) -> Fraction | float:
-    """``value`` rounded once by :func:`_to_float` if it came from a float."""
-    return _to_float(value) if inexact else value
-
-
-def _sqrt(value: Fraction | float) -> Fraction | float:
+def _sqrt(value: Fraction) -> Fraction | float:
     """Exact root of a rational square, else the float root."""
-    if isinstance(value, float):
-        return math.sqrt(value)
     root = exact_sqrt(value)
     if root is not None:
         return root
@@ -192,10 +146,10 @@ def scalar_length(p: IntervalPair) -> ScalarLength:
 
 def minkowski_form(p: IntervalPair) -> tuple[Fraction, Fraction, Fraction]:
     """(scalar, dt^2, dx^2) with scalar = dt^2 - dx^2 exactly."""
-    exact, inexact = _exact_pair(p)
-    dt = length_of_pair(exact)
-    dx = distance_of_pair(exact)
-    values = (exact.first * exact.second, dt * dt, dx * dx)
+    (first, second), inexact = _exact(p.first, p.second)
+    exact = pair(first, second) if inexact else p
+    dt, dx = length_of_pair(exact), distance_of_pair(exact)
+    values = (first * second, dt * dt, dx * dx)
     return tuple(map(_to_float, values)) if inexact else values
 
 
@@ -249,10 +203,7 @@ def compose_transforms(t1: PairTransform, t2: PairTransform) -> PairTransform:
 
 
 def to_coords(p: IntervalPair) -> SpacetimeCoords:
-    exact, inexact = _exact_pair(p)
-    return SpacetimeCoords(
-        _rounded(length_of_pair(exact), inexact), _rounded(distance_of_pair(exact), inexact)
-    )
+    return SpacetimeCoords(length_of_pair(p), distance_of_pair(p))
 
 
 def from_coords(coords: SpacetimeCoords) -> IntervalPair:
@@ -272,7 +223,7 @@ def lorentz_apply(coords: SpacetimeCoords, t: PairTransform) -> SpacetimeCoords:
 
 def pythagorean_join(
     a_pair: IntervalPair, b_pair: IntervalPair, *, orthogonal: bool
-) -> Fraction:
+) -> Fraction | float:
     """Squared joint extent of two orthogonal pure antisymmetric intervals.
 
     Scalars of orthogonal intervals add, so the squared magnitudes of the
@@ -285,7 +236,8 @@ def pythagorean_join(
     for p in (a_pair, b_pair):
         if not p.is_antisymmetric:
             raise ValueError(f"pair {p} is not pure antisymmetric")
-    return a_pair.first * a_pair.first + b_pair.first * b_pair.first
+    (a, b), inexact = _exact(a_pair.first, b_pair.first)
+    return _rounded(a * a + b * b, inexact)
 
 
 def spherical_decompose(

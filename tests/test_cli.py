@@ -88,6 +88,31 @@ def test_transform(capsys):
     assert "gamma = 5/4" in out
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["transform", "--m", "2", "--n", "1", "--pair", "1", "1"],
+     "pair' = (1.4142135623730951, 0.7071067811865475)\n"
+     "beta = 1/3\n"
+     "gamma = 1.0606601717798212\n"
+     "matrix = [[1.0606601717798212, 0.35355339059327373], "
+     "[0.35355339059327373, 1.0606601717798212]]\n"),
+    (["transform", "--m", "3", "--n", "7", "--pair", "3", "1"],
+     "pair' = (1.9639610121239315, 1.5275252316519465)\n"
+     "beta = -2/5\n"
+     "gamma = 1.0910894511799618\n"
+     "matrix = [[1.0910894511799618, -0.4364357804719847], "
+     "[-0.4364357804719847, 1.0910894511799618]]\n"),
+    (["scalar", "--pair", "1", "2"],
+     "scalar = 2 (time-like)\n"
+     "sigma = 1.4142135623730951\n"
+     "dt^2 = 9/4\n"
+     "dx^2 = 1/4\n"),
+], ids=["transform-2-1", "transform-3-7", "scalar-irrational-sigma"])
+def test_irrational_results_print_exactly(capsys, argv, expected):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (expected, "")
+
+
 def test_scalar(capsys):
     assert main(["scalar", "--pair", "4", "1"]) == 0
     out = capsys.readouterr().out
