@@ -40,6 +40,7 @@ from .errors import (
     NotCoordinatedError,
     NotIsotonicError,
     NotLinearlyRelatedError,
+    NotOrthogonalError,
     NotProperlyCollinearError,
     NotQuantifiableError,
     OutOfRangeError,

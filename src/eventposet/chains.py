@@ -5,7 +5,9 @@ exact rationals so every identity downstream (lengths, pairs, scalars)
 holds exactly; equal consecutive values are allowed (coarse graining).
 The arbitrary endpoint function of the interval-length solution is fixed
 to the identity, so the length of a closed interval is the difference of
-its endpoint values and is additive under joins.
+its endpoint values and is additive under joins. This module owns the
+one rule for an index range ``(lo, hi)`` of a chain
+(``_check_index_range``): windows, subchains and closed intervals all use it.
 """
 from __future__ import annotations
 
@@ -24,10 +26,12 @@ from .errors import (
     NotAChainError,
     NotAdjacentError,
     NotIsotonicError,
+    OutOfRangeError,
 )
 from .poset import EventId, Poset
 
 RationalLike = Rational | int | str
+IndexRange = tuple[int, int]
 _T = TypeVar("_T")
 
 
@@ -102,6 +106,31 @@ def _cached_per_partner(
     return entry[1]
 
 
+def _checked_window(chain: Chain | ValuedChain, window) -> IndexRange:
+    """``window`` as an ``(lo, hi)`` tuple of ints; None is the whole chain."""
+    if window is None:
+        return (0, len(chain) - 1)
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        lo = hi = None
+    _check_index_range(chain, lo, hi, window)
+    return (lo, hi)
+
+
+def _check_index_range(chain: Chain | ValuedChain, lo: int, hi: int, window=None) -> None:
+    """The one index-range rule, for windows, subchains and closed intervals.
+
+    Raises OutOfRangeError, naming ``window`` (by default ``(lo, hi)``) and
+    the chain, unless ``0 <= lo <= hi < len(chain)`` in ints, not bools.
+    """
+    if not (type(lo) is int and type(hi) is int and 0 <= lo <= hi < len(chain)):
+        raise OutOfRangeError(
+            f"window {(lo, hi) if window is None else window!r} is not an index "
+            f"range (lo, hi) with 0 <= lo <= hi < {len(chain)} on chain {chain.name!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Chain:
     """Strictly increasing, non-empty run of events in a poset.
@@ -154,7 +183,8 @@ class Chain:
             return None
 
     def subchain(self, lo: int, hi: int, name: str = "") -> "Chain":
-        """Elements at positions ``lo..hi`` inclusive."""
+        """Elements at positions ``lo..hi`` inclusive, an index range of the chain."""
+        _check_index_range(self, lo, hi)
         return Chain(self.poset, self.elements[lo : hi + 1], name or self.name)
 
 
@@ -246,12 +276,7 @@ class ClosedInterval:
     hi_index: int
 
     def __post_init__(self):
-        n = len(self.valued_chain)
-        if not 0 <= self.lo_index <= self.hi_index < n:
-            raise ValueError(
-                f"interval indices ({self.lo_index}, {self.hi_index}) invalid "
-                f"for a chain of length {n}"
-            )
+        _check_index_range(self.valued_chain, self.lo_index, self.hi_index)
 
 
 def interval_length(interval: ClosedInterval) -> Fraction:

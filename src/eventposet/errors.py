@@ -86,6 +86,12 @@ class OutOfRangeError(EventPosetError):
     """An element lies outside the coordinated or chain range."""
 
 
+class NotOrthogonalError(EventPosetError):
+    """A Pythagorean join without asserted orthogonality or with a pair that
+    is not pure antisymmetric, or a spherical split whose squares do not
+    add to the radial extent."""
+
+
 class DegenerateTransformError(EventPosetError):
     """Pair transform with a vanishing component (the |beta| = 1 limit)."""
 

@@ -22,7 +22,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .chains import ValuedChain, _cached_per_partner, as_fraction
+from .chains import IndexRange, ValuedChain, _cached_per_partner, _checked_window, as_fraction
 from .errors import (
     BasisMismatchError,
     FloatRangeError,
@@ -38,8 +38,6 @@ from .poset import EventId
 from .projection import forward_project, quantify_event
 from .structure import (
     Betweenness,
-    IndexRange,
-    _checked_window,
     _collinearity_table,
     _direction_maps,
     _length_witness,
@@ -203,7 +201,7 @@ def _coordination_refusal(
         if check_coordinated(p, q, p_range, q_range):
             return None
     except (MissingProjectionError, NotCompatibleError) as exc:
-        return f"chains {p.name!r} and {q.name!r}: {exc}"
+        return str(exc)
     # Only a refused pair, once per cache key, builds the maps again to
     # name the step that broke.
     witness = _length_witness(_direction_maps(p, q, p_range, q_range))

@@ -23,6 +23,8 @@ from .chains import ValuedChain, as_fraction
 from .errors import (
     CoincidentChainsError,
     DegenerateTransformError,
+    FloatRangeError,
+    NotOrthogonalError,
     OutOfRangeError,
 )
 from .intervals import (
@@ -232,10 +234,10 @@ def pythagorean_join(
     caller, who knows the subspaces.
     """
     if not orthogonal:
-        raise ValueError("pythagorean_join requires orthogonal subspaces")
+        raise NotOrthogonalError("pythagorean_join requires orthogonal subspaces")
     for p in (a_pair, b_pair):
         if not p.is_antisymmetric:
-            raise ValueError(f"pair {p} is not pure antisymmetric")
+            raise NotOrthogonalError(f"pair {p} is not pure antisymmetric")
     (a, b), inexact = _exact(a_pair.first, b_pair.first)
     return _rounded(a * a + b * b, inexact)
 
@@ -246,21 +248,32 @@ def spherical_decompose(
     """Split a radial antisymmetric extent over two decomposition chains.
 
     Returns (dt, dr sin(theta) cos(phi), dr sin(theta) sin(phi),
-    dr cos(theta)). The sin/cos parameterization keeps f^2 + g^2 = 1, so
-    the scalar dt^2 - dr^2 equals dt^2 minus the spatial sum of squares;
-    the identity is checked to 1e-12 before returning.
+    dr cos(theta)), each exact from the float sines and cosines and rounded
+    once, by the float rule of :mod:`.intervals`. As sin^2 + cos^2 = 1, the
+    spatial squares add to dr^2, so the scalar dt^2 - dr^2 is dt^2 minus
+    their sum; the rounded components are checked to add to dr^2 within
+    1e-12 of it (NotOrthogonalError otherwise). A non-finite angle raises
+    FloatRangeError.
     """
-    components = (
-        float(dt),
-        float(dr) * math.sin(theta) * math.cos(phi),
-        float(dr) * math.sin(theta) * math.sin(phi),
-        float(dr) * math.cos(theta),
+    dt, dr = _component(dt), _component(dr)
+    for angle in (theta, phi):
+        if not math.isfinite(angle):
+            raise FloatRangeError(f"angle {angle} is not a finite number")
+    (r, sin_t, cos_t, sin_p, cos_p), _ = _exact(
+        dr, math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
     )
-    radial = components[0] ** 2 - float(dr) ** 2
-    cartesian = components[0] ** 2 - sum(c * c for c in components[1:])
-    if not math.isclose(radial, cartesian, rel_tol=1e-12, abs_tol=1e-12):
-        raise ValueError(
-            f"spherical split broke the scalar: {radial} vs {cartesian}"
+    components = (
+        _to_float(dt),
+        _to_float(r * sin_t * cos_p),
+        _to_float(r * sin_t * sin_p),
+        _to_float(r * cos_t),
+    )
+    spatial, _ = _exact(*components[1:])
+    squares = sum(c * c for c in spatial)
+    if abs(squares - r * r) > r * r / 10**12:
+        raise NotOrthogonalError(
+            f"spherical split broke the scalar: the squares of {components[1:]} "
+            f"do not add to the square of {dr}"
         )
     return components
 

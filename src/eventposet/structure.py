@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 
-from .chains import Chain, ValuedChain, _cached_per_partner
+from .chains import Chain, IndexRange, ValuedChain, _cached_per_partner, _checked_window
 from .errors import (
     DifferentChainsError,
     MissingProjectionError,
@@ -32,7 +32,6 @@ from .errors import (
     NotCompatibleError,
     NotLinearlyRelatedError,
     NotProperlyCollinearError,
-    OutOfRangeError,
 )
 from .poset import EventId
 from .projection import (
@@ -286,30 +285,6 @@ def induced_chain_order(
                 f"relative to {a_chain.name!r}, {c_chain.name!r}"
             )
     return (a_chain, b_chain, c_chain)
-
-
-IndexRange = tuple[int, int]
-
-
-def _checked_window(vc: ValuedChain, window) -> IndexRange:
-    """``window`` as an ``(lo, hi)`` tuple of ints; None is the whole chain.
-
-    Raises OutOfRangeError unless ``0 <= lo <= hi < len(vc)``.
-    """
-    if window is None:
-        return (0, len(vc) - 1)
-    try:
-        lo, hi = window
-    except (TypeError, ValueError):
-        lo = hi = None
-    if not (
-        type(lo) is int and type(hi) is int and 0 <= lo <= hi < len(vc)
-    ):
-        raise OutOfRangeError(
-            f"window {window!r} is not an index range (lo, hi) with "
-            f"0 <= lo <= hi < {len(vc)} on chain {vc.name!r}"
-        )
-    return (lo, hi)
 
 
 def _window_map(

@@ -10,6 +10,7 @@ from eventposet import (
     NotAChainError,
     NotAdjacentError,
     NotIsotonicError,
+    OutOfRangeError,
     ValuedChain,
     build_poset,
     chain_poset,
@@ -76,10 +77,28 @@ def test_interval_by_value_lookup():
 
 def test_interval_index_validation():
     vc = make_valued_chain(chain_poset(3), (0, 1, 2), (0, 1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRangeError):
         ClosedInterval(vc, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRangeError):
         ClosedInterval(vc, 0, 3)
+
+
+@pytest.mark.parametrize("lattice", ["lattice8", "lattice12"])
+def test_every_index_range_slices_as_before(request, lattice):
+    # Valid ranges keep their meaning: a subchain is the slice lo..hi with
+    # its values and name, a closed interval's length is the difference of
+    # its endpoint values, and a join spans both parts.
+    for vc in request.getfixturevalue(lattice).chains.values():
+        n = len(vc)
+        for lo in range(n):
+            for hi in range(lo, n):
+                sub = vc.subchain(lo, hi)
+                assert sub.elements == vc.elements[lo : hi + 1]
+                assert sub.values == vc.values[lo : hi + 1]
+                assert sub.name == vc.name
+                assert interval_length(ClosedInterval(vc, lo, hi)) == vc.values[hi] - vc.values[lo]
+                joined = join_closed_intervals(ClosedInterval(vc, lo, lo), ClosedInterval(vc, lo, hi))
+                assert (joined.lo_index, joined.hi_index) == (lo, hi)
 
 
 def test_join_adds_lengths():

@@ -6,17 +6,21 @@ once; a result outside the normal float range, and an infinite or NaN
 component anywhere it is accepted, raise FloatRangeError.
 """
 import math
+import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eventposet import spacetime
 from eventposet import (
     FloatRangeError,
     GeneralizedInterval,
     IntervalKind,
     IntervalPair,
+    NotOrthogonalError,
     PairTransform,
     SpacetimeCoords,
     apply_pair_transform,
@@ -33,6 +37,7 @@ from eventposet import (
     pair,
     pythagorean_join,
     scalar_length,
+    spherical_decompose,
     to_coords,
 )
 
@@ -192,3 +197,72 @@ def test_pair_transform_of_float_components_is_rounded_once(a, b, t):
     _assert_rounded_once(
         lambda: _components(apply_pair_transform(pair(a, b), t)),
         Fraction(a) * factor, Fraction(b) / factor)
+
+
+# The spherical split: dt passes through, and the spatial components are
+# dr times float sines and cosines, each product exact and rounded once.
+
+def _assert_squares_add_to_dr_squared(spatial, dr):
+    squares = sum(Fraction(c) ** 2 for c in spatial)
+    radial = Fraction(dr) ** 2
+    assert abs(squares - radial) <= radial / 10**12
+
+
+def test_a_null_extent_splits():
+    # dt = dr used to fail the check, which compared dt^2 - dr^2 with
+    # dt^2 minus the squares at an absolute 1e-12: rounding leaves about
+    # dr^2 * 1e-16 of both.
+    dt, *spatial = spherical_decompose(100, 100, 1, 2)
+    assert dt == 100.0
+    _assert_squares_add_to_dr_squared(spatial, 100)
+
+
+def test_null_extents_over_four_decades_split():
+    rng = random.Random(139)
+    for _ in range(500):
+        dr = 10 ** rng.uniform(2, 4)
+        dt, *spatial = spherical_decompose(dr, dr, rng.uniform(0, math.pi),
+                                           rng.uniform(0, 2 * math.pi))
+        assert dt == dr
+        _assert_squares_add_to_dr_squared(spatial, dr)
+
+
+def test_a_huge_extent_splits_without_overflow():
+    dt, *spatial = spherical_decompose(1e200, 1e200, 0.3, 0.2)
+    assert dt == 1e200
+    _assert_squares_add_to_dr_squared(spatial, 1e200)
+
+
+@pytest.mark.parametrize("args", [
+    (10**400, 1, 0.1, 0.2),  # used to raise OverflowError
+    (1, 10**400, 0.1, 0.2),
+    (math.inf, 1, 0.1, 0.2),  # used to return inf
+    (1, math.nan, 0.1, 0.2),
+    (1, 1, math.inf, 0.2),  # used to raise "ValueError: math domain error"
+    (1, 1, 0.1, -math.inf),
+    (1, 1, math.nan, 0.2),
+])
+def test_spherical_split_refuses_what_floats_cannot_hold(args):
+    with pytest.raises(FloatRangeError):
+        spherical_decompose(*args)
+
+
+def test_spherical_split_refuses_a_broken_identity(monkeypatch):
+    # sin^2 + cos^2 = 1 is what makes the squares add to dr^2; a sine
+    # off by 1e-6 breaks it, and the check says so.
+    broken = SimpleNamespace(cos=math.cos, isfinite=math.isfinite,
+                             sin=lambda x: math.sin(x) + 1e-6)
+    monkeypatch.setattr(spacetime, "math", broken)
+    with pytest.raises(NotOrthogonalError, match="spherical split broke the scalar"):
+        spherical_decompose(1.0, 1.0, 1.0, 2.0)
+
+
+@settings(max_examples=400)
+@given(FLOATS, FLOATS, FLOATS, FLOATS)
+def test_spherical_split_keeps_dr_squared_or_refuses(dt, dr, theta, phi):
+    try:
+        t, *spatial = spherical_decompose(dt, dr, theta, phi)
+    except FloatRangeError:
+        return
+    assert t == dt
+    _assert_squares_add_to_dr_squared(spatial, dr)

@@ -13,6 +13,7 @@ from eventposet import (
     EventPosetError,
     FloatRangeError,
     MissingProjectionError,
+    NotOrthogonalError,
     OutOfRangeError,
     PairTransform,
     SpacetimeCoords,
@@ -203,10 +204,12 @@ def test_pythagorean_join():
 
 
 def test_pythagorean_join_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotOrthogonalError):
         pythagorean_join(pair(3, -3), pair(4, -4), orthogonal=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotOrthogonalError):
         pythagorean_join(pair(3, 3), pair(4, -4), orthogonal=True)
+    with pytest.raises(NotOrthogonalError, match=r"pair \(1, 1\) is not pure antisymmetric"):
+        pythagorean_join(pair(1, 1), pair(1, -1), orthogonal=True)
 
 
 def test_spherical_axis_aligned():

@@ -12,6 +12,7 @@ import pytest
 from eventposet import (
     Betweenness,
     Chain,
+    ClosedInterval,
     CollinearityCase,
     DifferentChainsError,
     EventPosetError,
@@ -30,6 +31,7 @@ from eventposet import (
     betweenness_of,
     build_poset,
     chain_distance,
+    chain_poset,
     chain_properly_collinear,
     check_compatible,
     check_coordinated,
@@ -148,6 +150,14 @@ def test_chain_with_gap_not_properly_collinear(lattice12):
     p, q = lattice12.chains["P"], lattice12.chains["Q"]
     gappy = Chain(lattice12.poset, (p.elements[4], p.elements[5], p.elements[7]), "X")
     assert not chain_properly_collinear(gappy, p.chain, q.chain)
+
+
+def test_chain_with_a_not_collinear_element_not_properly_collinear(lattice12):
+    # (5, 1) projects onto Q and S without a gap, but matches no case.
+    q, s = lattice12.chains["Q"].chain, lattice12.chains["S"].chain
+    x = lattice12.event(5, 1)
+    assert collinearity_case(x, q, s) is CollinearityCase.NOT_COLLINEAR
+    assert not chain_properly_collinear(Chain(lattice12.poset, (x,), "X"), q, s)
 
 
 def test_chain_collinear_with_itself(lattice12):
@@ -322,6 +332,40 @@ def test_linear_relation_irregular_chain(lattice12):
         detect_linear_relation(irregular, lattice12.chains["P"])
 
 
+# A total order 0 < 1 < ... < 5 with P = (0, 3, 5): events 1 and 2 both
+# project forward to 3 and backward to 0, and event 4 to 5 and 3.
+def _coarse(elements, values):
+    poset = chain_poset(6)
+    p = make_valued_chain(poset, (0, 3, 5), (0, 1, 2), "P")
+    return make_valued_chain(poset, elements, values, "S"), p
+
+
+def test_linear_relation_skips_a_coarse_grained_step():
+    s, p = _coarse((1, 2, 4), (0, 0, 1))
+    assert detect_linear_relation(s, p) == LinearRelation(Fraction(1), Fraction(1))
+
+
+def test_linear_relation_refuses_a_zero_step_with_projected_length():
+    s, p = _coarse((2, 4), (0, 0))
+    with pytest.raises(
+        NotLinearlyRelatedError,
+        match="zero-length step 0 of 'S' projects onto 'P' with nonzero length",
+    ):
+        detect_linear_relation(s, p)
+
+
+def test_linear_relation_refuses_a_chain_of_zero_steps():
+    s, p = _coarse((1, 2), (0, 0))
+    with pytest.raises(NotLinearlyRelatedError, match="chain 'S' has zero total length"):
+        detect_linear_relation(s, p)
+
+
+def test_linear_relation_refuses_a_one_element_chain():
+    s, p = _coarse((1,), (0,))
+    with pytest.raises(NotLinearlyRelatedError, match="chain 'S' has no steps to compare"):
+        detect_linear_relation(s, p)
+
+
 def test_linear_relation_rejects_negative_steps():
     with pytest.raises(ValueError):
         LinearRelation(Fraction(-1), Fraction(1))
@@ -353,12 +397,22 @@ def test_coordination_refuses_chains_of_different_posets(lattice8, lattice12):
         ("distance", "ab", None),
         ("compatible", (0.0, 7), None),
         ("coordinated", (True, 7), None),
+        ("subchain", (-3, 5), None),
+        ("subchain", (2, 100), None),
+        ("subchain", (4, 2), None),
+        ("subchain", (True, 3), None),
+        ("subchain", (0.5, 2), None),
+        ("closed", (2, 1), None),
+        ("closed", (0, 12), None),
+        ("closed", (0.5, 1), None),
+        ("closed", (True, 3), None),
     ],
 )
 def test_windows_must_be_index_ranges(lattice12, check, p_range, q_range):
-    # Each window needs 0 <= lo <= hi < len(chain). Out of range windows
-    # used to raise IndexError, and a negative lo used to wrap around to
-    # the chain's end and give a wrong verdict.
+    # Each window, subchain and closed interval needs ints with
+    # 0 <= lo <= hi < len(chain). Out of range windows used to raise
+    # IndexError, and a negative lo used to wrap around to the chain's end
+    # and give a wrong verdict; subchain sliced whatever it was given.
     p, q = lattice12.chains["P"], lattice12.chains["Q"]
     calls = {
         "compatible": lambda: check_compatible(p, q, p_range, q_range),
@@ -366,9 +420,22 @@ def test_windows_must_be_index_ranges(lattice12, check, p_range, q_range):
         "distance": lambda: chain_distance(
             p, q, p.elements[5], q.elements[5], p_range, q_range
         ),
+        "subchain": lambda: p.subchain(*p_range),
+        "closed": lambda: ClosedInterval(p, *p_range),
     }
-    with pytest.raises(OutOfRangeError):
+    window, chain = (p_range, p) if p_range is not None else (q_range, q)
+    with pytest.raises(OutOfRangeError) as info:
         calls[check]()
+    assert str(info.value) == (
+        f"window {window!r} is not an index range (lo, hi) with "
+        f"0 <= lo <= hi < {len(chain)} on chain {chain.name!r}"
+    )
+
+
+def test_chain_distance_refuses_an_event_off_its_chain(lattice12):
+    p, q = lattice12.chains["P"], lattice12.chains["Q"]
+    with pytest.raises(OutOfRangeError, match=f"event {q.elements[0]} is not on chain 'P'"):
+        chain_distance(p, q, q.elements[0], q.elements[0])
 
 
 def test_list_windows_work_like_tuples(lattice12):
@@ -391,6 +458,22 @@ def test_refused_coordination_names_its_witness(lattice12):
         "chains 'P' and 'Q' do not preserve projected interval lengths: "
         "the forward P->Q projection maps indices (0, 1) to (0, 1), "
         "a step of 1 to one of 2"
+    )
+
+
+def test_refused_coordination_names_the_chains_once(lattice12):
+    # The refusal is the compatibility message as it is, not prefixed
+    # with the chain names a second time.
+    p, q, t = (lattice12.chains[name] for name in "PQT")
+    with pytest.raises(NotCoordinatedError) as info:
+        chain_distance(p, t, p.elements[0], t.elements[0])
+    assert str(info.value) == (
+        "chains 'P' and 'T' are not compatible over the inspected ranges"
+    )
+    with pytest.raises(NotCoordinatedError) as info:
+        chain_distance(p, q, p.elements[0], q.elements[6], (0, 1), (6, 7))
+    assert str(info.value) == (
+        "chains 'P' and 'Q' share no projections over the inspected ranges"
     )
 
 
