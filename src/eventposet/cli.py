@@ -53,7 +53,6 @@ from .structure import (
     detect_linear_relation,
 )
 from .textio import format_poset_text, parse_poset_text
-from .verify import run_all, run_for
 
 
 class _UsageError(Exception):
@@ -240,6 +239,9 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here: no other subcommand needs the invariant suite.
+    from .verify import run_all, run_for
+
     if args.input is not None or args.gen is not None:
         poset, chains = _load(args)
         results = run_for(poset, chains, report=print)

@@ -252,12 +252,16 @@ def spherical_decompose(
     once, by the float rule of :mod:`.intervals`. As sin^2 + cos^2 = 1, the
     spatial squares add to dr^2, so the scalar dt^2 - dr^2 is dt^2 minus
     their sum; the rounded components are checked to add to dr^2 within
-    1e-12 of it (NotOrthogonalError otherwise). A non-finite angle raises
-    FloatRangeError.
+    1e-12 of it (NotOrthogonalError otherwise). An angle that is infinite,
+    NaN or too large for a float raises FloatRangeError.
     """
     dt, dr = _component(dt), _component(dr)
     for angle in (theta, phi):
-        if not math.isfinite(angle):
+        try:
+            finite = math.isfinite(angle)
+        except OverflowError:  # an int or Fraction beyond the float range
+            raise FloatRangeError("angle is outside the float range") from None
+        if not finite:
             raise FloatRangeError(f"angle {angle} is not a finite number")
     (r, sin_t, cos_t, sin_p, cos_p), _ = _exact(
         dr, math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)

@@ -1,0 +1,116 @@
+"""The comparison of ``tools/bench_record.py`` on hand-made records."""
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+
+
+@pytest.fixture(scope="module")
+def bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(label, values):
+    """A record of one cli-oneshot run per seed with the given op_p90_ms and ops_per_s."""
+    return {
+        "label": label, "commit": label[:7], "tree": "0" * 40, "environment": {},
+        "runs": [
+            {"workload": "cli-oneshot", "seed": seed, "trace": 0,
+             "correct": True, "attempted": 60, "failed": 0,
+             "metrics": {"op_p90_ms": p90, "ops_per_s": rate}}
+            for seed, (p90, rate) in values.items()
+        ],
+    }
+
+
+def test_compare_pairs_runs_by_seed(bench_record):
+    parent = _record("abc1234", {1: (100, 10), 2: (110, 10), 3: (120, 10), 4: (130, 10)})
+    # Seed 9 has no partner and is left out; the change wins three p90 pairs of four.
+    change = _record("abc1234+0123456789", {4: (90, 13), 3: (125, 12), 2: (80, 7), 1: (70, 11), 9: (1, 1)})
+    rows = {row["metric"]: row for row in
+            bench_record.compare_records(parent, change, bench_record.declared_metrics())}
+    p90 = rows["op_p90_ms"]
+    assert (p90["pairs"], p90["wins_b"]) == (4, 3)
+    assert (p90["median_a"], p90["median_b"]) == (115, 85)
+    assert p90["ratio"] == pytest.approx(85 / 115)
+    assert p90["spread_a"] == pytest.approx(15)  # quartiles 107.5 and 122.5
+    assert not bench_record.worse_beyond_bound(p90)
+    rate = rows["ops_per_s"]  # higher is better
+    assert rate["wins_b"] == 3
+    assert rate["ratio"] == pytest.approx(1.15)
+
+
+def test_compare_flags_a_regression_beyond_the_bound(bench_record, tmp_path, capsys):
+    parent = _record("abc1234", {1: (100, 10), 2: (100, 10)})
+    change = _record("abc1234+0123456789", {1: (130, 7), 2: (130, 7)})
+    rows = bench_record.compare_records(parent, change, bench_record.declared_metrics())
+    assert [bench_record.worse_beyond_bound(row) for row in rows] == [True, True]
+    paths = []
+    for name, rec in (("A", parent), ("B", change)):
+        paths.append(tmp_path / f"BENCH_{name}.json")
+        paths[-1].write_text(json.dumps(rec))
+    assert bench_record.main(["--compare", *map(str, paths)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "A = abc1234, B = abc1234+0123456789; ratio = B/A of the medians"
+    assert all(line.endswith(" !") for line in lines[2:])
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.org",
+                    *args], check=True, capture_output=True)
+
+
+@pytest.fixture
+def checkout(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / ".gitignore").write_text("out/\n")
+    (repo / "a.txt").write_text("a\n")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "one")
+    return repo
+
+
+def test_label_names_the_measured_tree(bench_record, checkout):
+    commit, tree, label = bench_record.describe(checkout)
+    assert label == commit and len(tree) == 40
+    (checkout / "out").mkdir()
+    (checkout / "out" / "trace.json").write_text("{}")  # ignored: still the commit
+    assert bench_record.describe(checkout) == (commit, tree, commit)
+
+    (checkout / "b.txt").write_text("b\n")  # untracked files count
+    _, tree_b, label_b = bench_record.describe(checkout)
+    assert tree_b != tree and label_b == f"{commit}+{tree_b[:10]}"
+    (checkout / "b.txt").unlink()
+    (checkout / "a.txt").write_text("another a\n")
+    _, tree_c, label_c = bench_record.describe(checkout)
+    assert tree_c not in (tree, tree_b) and label_c == f"{commit}+{tree_c[:10]}"
+
+    (checkout / "a.txt").write_text("a\n")
+    assert bench_record.describe(checkout) == (commit, tree, commit)
+    status = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain"],
+                            capture_output=True, text=True, check=True).stdout
+    assert status == ""  # the real index is left alone
+
+
+def test_record_refuses_two_checkouts_of_one_tree(bench_record, checkout, tmp_path, monkeypatch):
+    twin = tmp_path / "twin"
+    _git(tmp_path, "clone", "-q", str(checkout), str(twin))
+    monkeypatch.setattr(bench_record, "run_once", lambda *a: pytest.fail("ran a workload"))
+    argv = ["--workload", "cli-oneshot", "--seed", "1", "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit, match="hold the same tree"):
+        bench_record.main(["--checkout", str(checkout), "--checkout", str(twin), *argv])
+
+    commit, tree, label = bench_record.describe(checkout)
+    (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(
+        {"label": label, "commit": commit, "tree": "f" * 40, "environment": {}, "runs": []}))
+    with pytest.raises(SystemExit, match="not this checkout's tree"):
+        bench_record.main(["--checkout", str(checkout), *argv])

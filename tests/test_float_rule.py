@@ -241,6 +241,8 @@ def test_a_huge_extent_splits_without_overflow():
     (1, 1, math.inf, 0.2),  # used to raise "ValueError: math domain error"
     (1, 1, 0.1, -math.inf),
     (1, 1, math.nan, 0.2),
+    (1, 1, 10**400, 0.2),  # used to raise OverflowError
+    (1, 1, 0.1, Fraction(-(10**400), 3)),
 ])
 def test_spherical_split_refuses_what_floats_cannot_hold(args):
     with pytest.raises(FloatRangeError):

@@ -1,7 +1,11 @@
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from eventposet import generators
 from eventposet import (
     ChainEscapesWindowError,
     EmptyWindowError,
@@ -119,13 +123,18 @@ def test_simplex_degenerate():
 
 
 def test_random_density_extremes():
-    antichain = generate_random(7, 12, 0.0)
-    assert antichain.cover_edges() == ()
-    total = generate_random(7, 12, 1.0)
-    assert len(total.cover_edges()) == 11
-    for x in total.events():
-        for y in total.events():
-            assert total.leq(x, y) or total.leq(y, x)
+    for n_events in (0, 1, 2, 12):
+        antichain = generate_random(7, n_events, 0.0)
+        assert antichain.event_count == n_events
+        assert antichain.cover_edges() == ()
+        total = generate_random(7, n_events, 1.0)
+        assert len(total.cover_edges()) == max(n_events - 1, 0)
+        for x in total.events():
+            for y in total.events():
+                assert total.leq(x, y) or total.leq(y, x)
+        half = generate_random(7, n_events, 0.5)
+        assert half.event_count == n_events
+        assert len(half.cover_edges()) <= n_events * (n_events - 1) // 2
 
 
 def test_random_deterministic():
@@ -157,3 +166,109 @@ def test_distance_needs_mutual_projection():
     c1, c2 = chains["C1"], chains["C2"]
     with pytest.raises(OutOfRangeError):
         chain_distance(c1, c2, c1.elements[1], c2.elements[0])
+
+
+# The random DAG generator walks the pairs i < j of a seeded permutation
+# by geometric skips. These tests watch what it hands to build_poset and
+# how often it draws.
+
+
+class _RecordingRandom(random.Random):
+    """Counts ``random()`` draws and keeps the permutation ``shuffle`` made."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+        self.order = None
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        # Defined so that shuffle keeps drawing through getrandbits, as in
+        # random.Random; a subclass that overrides random() alone shuffles
+        # through random().
+        return super().getrandbits(k)
+
+    def shuffle(self, x):
+        super().shuffle(x)
+        self.order = list(x)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Call ``generate_random`` and return its rng and the relations it drew."""
+    rngs, handed = [], []
+
+    def make_rng(seed):
+        rngs.append(_RecordingRandom(seed))
+        return rngs[-1]
+
+    def capture(n_events, relations):
+        handed.append(list(relations))
+        return n_events
+
+    monkeypatch.setattr(generators.random, "Random", make_rng)
+    monkeypatch.setattr(generators, "build_poset", capture)
+
+    def draw(seed, n_events, density):
+        generate_random(seed, n_events, density)
+        return rngs[-1], handed[-1]
+
+    return draw
+
+
+@pytest.mark.parametrize("density", [5e-324, 1 - 1e-16])
+def test_random_extreme_densities_return(density):
+    poset = generate_random(9, 40, density)
+    assert poset.event_count == 40
+
+
+def test_random_relations_are_distinct_and_respect_the_permutation(recorded):
+    for seed in range(20):
+        rng, relations = recorded(seed, 60, 0.3)
+        assert len(set(relations)) == len(relations)
+        position = {event: k for k, event in enumerate(rng.order)}
+        assert all(position[a] < position[b] for a, b in relations)
+
+
+def test_random_draws_no_pair_at_density_zero(recorded):
+    rng, relations = recorded(3, 200, 0.0)
+    assert relations == [] and rng.draws == 0
+
+
+def test_random_draws_every_pair_near_density_one(recorded):
+    rng, relations = recorded(3, 30, 1 - 1e-16)
+    position = {event: k for k, event in enumerate(rng.order)}
+    assert sorted((position[a], position[b]) for a, b in relations) == [
+        (i, j) for i in range(30) for j in range(i + 1, 30)
+    ]
+
+
+def test_random_pair_frequencies(recorded):
+    n_events, density, seeds = 6, 0.3, 4000
+    counts = Counter()
+    for seed in range(seeds):
+        rng, relations = recorded(seed, n_events, density)
+        position = {event: k for k, event in enumerate(rng.order)}
+        counts.update((position[a], position[b]) for a, b in relations)
+    sigma = math.sqrt(density * (1 - density) / seeds)
+    pairs = [(i, j) for i in range(n_events) for j in range(i + 1, n_events)]
+    assert set(counts) == set(pairs)
+    for pair in pairs:
+        assert abs(counts[pair] / seeds - density) < 5 * sigma, pair
+
+
+def test_random_mean_relation_count(recorded):
+    n_events, density, seeds = 1536, 0.005, 20
+    total = [len(recorded(seed, n_events, density)[1]) for seed in range(seeds)]
+    pairs = n_events * (n_events - 1) // 2
+    sigma = math.sqrt(pairs * density * (1 - density) / seeds)
+    assert abs(sum(total) / seeds - density * pairs) < 5 * sigma
+
+
+def test_random_draws_once_per_relation(recorded):
+    # A per-pair loop would draw N(N-1)/2 = 523776 times here.
+    rng, relations = recorded(1, 1024, 0.01)
+    assert rng.draws <= len(relations) + 1

@@ -391,9 +391,13 @@ def test_scoped_chain_distance_refuses_elements_outside_windows(lattice12):
 def test_not_collinear_endpoint_is_refused():
     # The endpoint matches no identity block, so it is on no side of the
     # chains; only an endpoint with a missing projection is trusted.
-    from eventposet import betweenness_of, check_coordinated, generate_random
+    from eventposet import betweenness_of, build_poset, check_coordinated
 
-    poset = generate_random(578, 12, 0.4)
+    poset = build_poset(
+        12,
+        [(0, 4), (0, 5), (1, 0), (1, 10), (1, 11), (3, 0), (3, 6), (3, 11), (5, 2), (6, 2),
+         (6, 4), (6, 9), (7, 1), (7, 6), (8, 6), (8, 10), (8, 11), (10, 5), (10, 9), (11, 2)],
+    )
     p = make_valued_chain(poset, (7, 1, 11, 2), range(4), "P")
     q = make_valued_chain(poset, (8, 6, 9), range(3), "Q")
     assert check_coordinated(p, q)
