@@ -28,7 +28,7 @@ from .errors import (
     NotIsotonicError,
     OutOfRangeError,
 )
-from .poset import EventId, Poset
+from .poset import EventId, Poset, _is_index
 
 RationalLike = Rational | int | str
 IndexRange = tuple[int, int]
@@ -122,9 +122,10 @@ def _check_index_range(chain: Chain | ValuedChain, lo: int, hi: int, window=None
     """The one index-range rule, for windows, subchains and closed intervals.
 
     Raises OutOfRangeError, naming ``window`` (by default ``(lo, hi)``) and
-    the chain, unless ``0 <= lo <= hi < len(chain)`` in ints, not bools.
+    the chain, unless ``lo <= hi`` are indices of the chain by
+    :func:`~eventposet.poset._is_index`.
     """
-    if not (type(lo) is int and type(hi) is int and 0 <= lo <= hi < len(chain)):
+    if not (_is_index(lo, len(chain)) and _is_index(hi, len(chain)) and lo <= hi):
         raise OutOfRangeError(
             f"window {(lo, hi) if window is None else window!r} is not an index "
             f"range (lo, hi) with 0 <= lo <= hi < {len(chain)} on chain {chain.name!r}"

@@ -80,10 +80,7 @@ def _generate(spec: str) -> tuple[Poset, dict[str, ValuedChain]]:
     if kind == "lattice":
         if len(params) != 2:
             raise _UsageError("--gen lattice takes U,V")
-        u, v = int(params[0]), int(params[1])
-        if u < 1 or v < 1:
-            raise _UsageError(f"--gen {spec}: lattice sizes must be positive")
-        lattice = standard_lattice(u, v)
+        lattice = standard_lattice(int(params[0]), int(params[1]))
         return lattice.poset, lattice.chains
     if kind == "simplex":
         if len(params) != 1:

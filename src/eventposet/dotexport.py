@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .chains import ValuedChain
-from .errors import EventPosetError, MissingProjectionError
+from .errors import EventPosetError, InvalidArgumentError, MissingProjectionError
 from .poset import Poset
 from .projection import forward_project
 from .spacetime import chain_separation
@@ -32,7 +32,7 @@ def export_dot(
         return _hasse(poset, chains or {})
     if mode == "geometric":
         return _geometric(chains or {})
-    raise ValueError(f"unknown export mode {mode!r}")
+    raise InvalidArgumentError(f"unknown export mode {mode!r}")
 
 
 def _hasse(poset: Poset, chains: Mapping[str, ValuedChain]) -> str:
@@ -82,7 +82,7 @@ def _geometric(chains: Mapping[str, ValuedChain]) -> str:
     projections) are listed as skipped in a comment.
     """
     if not chains:
-        raise ValueError("geometric view needs at least one chain")
+        raise InvalidArgumentError("geometric view needs at least one chain")
     placed: list[str] = []
     skipped: list[str] = []
     separations: dict[tuple[str, str], float] = {}

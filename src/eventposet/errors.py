@@ -7,7 +7,11 @@ class EventPosetError(Exception):
 
 
 class InvalidIdError(EventPosetError):
-    """An event id is outside the poset's 0..N-1 range."""
+    """An event id is not an int in the poset's 0..N-1 range."""
+
+
+class InvalidArgumentError(EventPosetError, ValueError):
+    """An argument of the wrong kind or out of range; also a ValueError."""
 
 
 class CycleDetectedError(EventPosetError):
@@ -100,11 +104,11 @@ class CoincidentChainsError(EventPosetError):
     """Subspace projection needs two chains at nonzero separation."""
 
 
-class EmptyWindowError(EventPosetError):
+class EmptyWindowError(InvalidArgumentError):
     """Lattice window contains no events."""
 
 
-class ChainEscapesWindowError(EventPosetError):
+class ChainEscapesWindowError(InvalidArgumentError):
     """A lattice chain starts outside the window."""
 
 

@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass, field
 
 from .chains import ValuedChain, make_valued_chain
-from .errors import ChainEscapesWindowError, EmptyWindowError
-from .poset import EventId, Poset, _check_event_count, build_poset
+from .errors import ChainEscapesWindowError, EmptyWindowError, InvalidArgumentError
+from .poset import EventId, Poset, _check_event_count, _is_index, build_poset
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class LatticeChainSpec:
 
     def __post_init__(self):
         if self.du < 0 or self.dv < 0 or (self.du == 0 and self.dv == 0):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"chain {self.name!r} must step forward in at least one "
                 f"coordinate, got ({self.du}, {self.dv})"
             )
@@ -55,8 +55,10 @@ class SimplexSpec:
     n_chains: int
 
     def __post_init__(self):
-        if self.n_chains < 1:
-            raise ValueError("a simplex needs at least one chain")
+        if not _is_index(self.n_chains, math.inf) or self.n_chains < 1:
+            raise InvalidArgumentError(
+                f"a simplex needs an int count of at least one chain, got {self.n_chains!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,9 @@ class Lattice:
     chains: dict[str, ValuedChain] = field(compare=False)
 
     def event(self, u: int, v: int) -> EventId:
-        if not (0 <= u < self.spec.u_max and 0 <= v < self.spec.v_max):
-            raise ValueError(f"({u}, {v}) outside the {self.spec.u_max}x{self.spec.v_max} window")
+        if not (_is_index(u, self.spec.u_max) and _is_index(v, self.spec.v_max)):
+            window = f"{self.spec.u_max}x{self.spec.v_max}"
+            raise InvalidArgumentError(f"({u!r}, {v!r}) is not an int point of the {window} window")
         return u * self.spec.v_max + v
 
     def coords(self, event: EventId) -> tuple[int, int]:
@@ -83,6 +86,8 @@ def generate_lattice(spec: LatticeSpec) -> Lattice:
     Chain elements are emitted tick by tick until the window edge; the
     valuation is the tick index, one unit per tick.
     """
+    if not (_is_index(spec.u_max, math.inf) and _is_index(spec.v_max, math.inf)):
+        raise InvalidArgumentError(f"window sizes {spec.u_max!r}x{spec.v_max!r} are not ints >= 0")
     if spec.u_max < 1 or spec.v_max < 1:
         raise EmptyWindowError(f"window {spec.u_max}x{spec.v_max} has no events")
     _check_event_count(spec.u_max * spec.v_max)
@@ -99,7 +104,7 @@ def generate_lattice(spec: LatticeSpec) -> Lattice:
 
     chains: dict[str, ValuedChain] = {}
     for chain_spec in spec.chains:
-        if not (0 <= chain_spec.u0 < spec.u_max and 0 <= chain_spec.v0 < spec.v_max):
+        if not (_is_index(chain_spec.u0, spec.u_max) and _is_index(chain_spec.v0, spec.v_max)):
             raise ChainEscapesWindowError(
                 f"chain {chain_spec.name!r} starts at ({chain_spec.u0}, "
                 f"{chain_spec.v0}), outside the window"
@@ -155,7 +160,7 @@ def generate_simplex(spec: SimplexSpec | int) -> tuple[Poset, dict[str, ValuedCh
     is only realizable in N-1 spatial dimensions. Valuations are 0 at the
     bottom and 1 at the top of each chain.
     """
-    if isinstance(spec, int):
+    if not isinstance(spec, SimplexSpec):
         spec = SimplexSpec(spec)
     n = spec.n_chains
     _check_event_count(2 * n)
@@ -184,7 +189,7 @@ def generate_random(seed: int, n_events: int, edge_density: float) -> Poset:
     generator drew.
     """
     if not 0.0 <= edge_density <= 1.0:
-        raise ValueError("edge_density must be within [0, 1]")
+        raise InvalidArgumentError("edge_density must be within [0, 1]")
     _check_event_count(n_events)
     rng = random.Random(seed)
     order = list(range(n_events))

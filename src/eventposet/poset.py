@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import CycleDetectedError, InvalidIdError
+from .errors import CycleDetectedError, InvalidArgumentError, InvalidIdError
 
 EventId = int
 
@@ -36,6 +36,11 @@ class Comparability(Enum):
     EQUAL = "equal"
     GREATER = "greater"
     INCOMPARABLE = "incomparable"
+
+
+def _is_index(x: object, bound: int | float) -> bool:
+    """The one int rule: a plain int (no bool or IntEnum) with ``0 <= x < bound``."""
+    return type(x) is int and 0 <= x < bound
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -69,7 +74,7 @@ class Poset:
         return range(self._count)
 
     def check_id(self, x: EventId) -> None:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self._count:
+        if not _is_index(x, self._count):
             raise InvalidIdError(f"event id {x!r} not in 0..{self._count - 1}")
 
     def leq(self, x: EventId, y: EventId) -> bool:
@@ -110,12 +115,10 @@ class Poset:
 
 
 def _check_event_count(event_count: int, max_events: int = DEFAULT_MAX_EVENTS) -> None:
-    """Raise ValueError unless ``0 <= event_count <= max_events``."""
-    if event_count < 0:
-        raise ValueError("event_count must be non-negative")
-    if event_count > max_events:
-        raise ValueError(
-            f"event_count {event_count} exceeds the cap of {max_events} events"
+    """Raise InvalidArgumentError unless ``event_count`` is an int in ``0..max_events``."""
+    if not _is_index(event_count, max_events + 1):
+        raise InvalidArgumentError(
+            f"event_count {event_count!r} is not an int in 0..{max_events}"
         )
 
 
@@ -134,18 +137,19 @@ def build_poset(
     the stack from that event back to it is the witness.
 
     Raises:
-        InvalidIdError: an endpoint is outside ``0..event_count-1``.
+        InvalidArgumentError: ``event_count`` is not an int in
+            ``0..max_events``.
+        InvalidIdError: an endpoint is not an int in ``0..event_count-1``.
         CycleDetectedError: the relations order some event before itself;
             the exception names a witness cycle.
-        ValueError: ``event_count`` is negative or above ``max_events``.
     """
     _check_event_count(event_count, max_events)
 
     adjacency: list[list[int]] = [[] for _ in range(event_count)]
     for a, b in relations:
-        for end in (a, b):
-            if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < event_count:
-                raise InvalidIdError(f"event id {end!r} not in 0..{event_count - 1}")
+        if not (_is_index(a, event_count) and _is_index(b, event_count)):
+            bad = b if _is_index(a, event_count) else a
+            raise InvalidIdError(f"event id {bad!r} not in 0..{event_count - 1}")
         if a == b:
             raise CycleDetectedError((a, a))
         adjacency[a].append(b)

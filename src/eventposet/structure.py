@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 
 from .chains import Chain, IndexRange, ValuedChain, _cached_per_partner, _checked_window
 from .errors import (
     DifferentChainsError,
+    InvalidArgumentError,
     MissingProjectionError,
     NotBetweenError,
     NotCompatibleError,
@@ -34,13 +34,7 @@ from .errors import (
     NotProperlyCollinearError,
 )
 from .poset import EventId
-from .projection import (
-    _project_both_ways,
-    _projection_positions,
-    backward_project,
-    forward_project,
-    quantify_event,
-)
+from .projection import _project_both_ways, _projection_positions, quantify_event
 
 
 class CollinearityCase(Enum):
@@ -84,7 +78,7 @@ class LinearRelation:
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
-            raise ValueError("projection step lengths cannot be negative")
+            raise InvalidArgumentError("projection step lengths cannot be negative")
 
 
 # The five identity blocks. Slots 0..3 stand for the four direct
@@ -99,18 +93,6 @@ _CASE_IDENTITIES = (
     (CollinearityCase.IV, ((0, 0, 2), (2, 3, 0), (1, 0, 3), (3, 3, 1))),
     (CollinearityCase.V, ((0, 1, 2), (2, 2, 0), (1, 1, 3), (3, 2, 1))),
 )
-
-
-def matching_cases(x: EventId, p_chain: Chain, q_chain: Chain) -> tuple[CollinearityCase, ...]:
-    """All identity blocks that hold for ``x``, derived afresh from its
-    projections: the uncached reference that the collinearity table is
-    tested against. The library itself reads the table."""
-    slots = (*_project_both_ways(x, p_chain), *_project_both_ways(x, q_chain))
-    projectors = [partial(project, chain=chain) for chain in (p_chain, q_chain)
-                  for project in (forward_project, backward_project)]
-    return tuple(case for case, identities in _CASE_IDENTITIES
-                 if all(projectors[image](slots[argument]) == slots[lhs]
-                        for lhs, image, argument in identities))
 
 
 def _check_same_poset(a: Chain, b: Chain) -> None:

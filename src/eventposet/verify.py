@@ -326,7 +326,7 @@ def _check_distance_constancy(lattice: Lattice) -> list[str]:
     return bad
 
 
-def _between_events(lattice: Lattice, p: ValuedChain, q: ValuedChain) -> list[int]:
+def _between_events(p: ValuedChain, q: ValuedChain) -> list[int]:
     """Events between (P, Q), in event order; unclassifiable ones are not."""
     table = _collinearity_table(p.chain, q.chain)
     return [x for x, matched in enumerate(table) if _side(matched) is Betweenness.BETWEEN]
@@ -340,7 +340,7 @@ def _two_chain_pairs(
     rest = _aligned_rest_chains(lattice)
     for a, b in combinations(sorted(rest), 2):
         p, q = rest[a], rest[b]
-        between = _between_events(lattice, p, q)
+        between = _between_events(p, q)
         for xa in between:
             for xb in between:
                 interval = GeneralizedInterval(xa, xb)
@@ -412,7 +412,7 @@ def _check_sign_preservation(lattice: Lattice) -> list[str]:
     bad = []
     rest = _aligned_rest_chains(lattice)
     chain_pairs = [
-        (rest[a], rest[b], set(_between_events(lattice, rest[a], rest[b])))
+        (rest[a], rest[b], set(_between_events(rest[a], rest[b])))
         for a, b in combinations(sorted(rest), 2)
     ]
     events = list(lattice.poset.events())

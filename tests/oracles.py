@@ -2,11 +2,23 @@
 
 These deliberately avoid the library's search code paths: projections are
 recomputed by linear scan over chain elements and, on lattices, from the
-closed-form coordinate bounds of the product order.
+closed-form coordinate bounds of the product order. The collinearity
+cases are spelled out from their definitions over the library's
+projections, apart from the library's encoding of them.
 """
 from __future__ import annotations
 
-from eventposet import Lattice, Poset
+from functools import partial
+
+from eventposet import (
+    Chain,
+    CollinearityCase,
+    Lattice,
+    Poset,
+    backward_project,
+    forward_project,
+)
+from eventposet.projection import _project_both_ways
 
 
 def brute_forward(poset: Poset, x: int, elements) -> int | None:
@@ -68,3 +80,31 @@ def lattice_backward(lattice: Lattice, x: int, du: int, dv: int, u0: int, v0: in
     if k < 0:
         return None
     return lattice.event(u0 + k * du, v0 + k * dv)
+
+
+def matching_cases(x: int, p_chain: Chain, q_chain: Chain) -> tuple[CollinearityCase, ...]:
+    """Every collinearity case whose identities hold for ``x``: the
+    uncached reference that the library's collinearity table is checked
+    against.
+
+    ``Pf``/``Pb`` project forward/backward onto P, ``Qf``/``Qb`` onto Q,
+    and ``pf, pb, qf, qb`` are the four direct projections of ``x``. A case
+    holds when composing projections through one chain gives the direct
+    projection onto the other; a composite that does not exist is None and
+    fails. Raises the library's NotQuantifiableError when a direct
+    projection of ``x`` is missing.
+    """
+    pf, pb = _project_both_ways(x, p_chain)
+    qf, qb = _project_both_ways(x, q_chain)
+    Pf, Pb = partial(forward_project, chain=p_chain), partial(backward_project, chain=p_chain)
+    Qf, Qb = partial(forward_project, chain=q_chain), partial(backward_project, chain=q_chain)
+    blocks = (
+        # The proper cases, which place x on a side: x|P|Q, P|x|Q, P|Q|x.
+        (CollinearityCase.I, (Pb(qf) == pf, Qf(pf) == qf, Pf(qb) == pb, Qb(pb) == qb)),
+        (CollinearityCase.II, (Pf(qb) == pf, Qf(pb) == qf, Pb(qf) == pb, Qb(pf) == qb)),
+        (CollinearityCase.III, (Pf(qf) == pf, Qb(pf) == qf, Pb(qb) == pb, Qf(pb) == qb)),
+        # Collinear, but not invariant under order reversal.
+        (CollinearityCase.IV, (Pf(qf) == pf, Qb(pf) == qf, Pf(qb) == pb, Qb(pb) == qb)),
+        (CollinearityCase.V, (Pb(qf) == pf, Qf(pf) == qf, Pb(qb) == pb, Qf(pb) == qb)),
+    )
+    return tuple(case for case, identities in blocks if all(identities))

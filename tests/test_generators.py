@@ -9,9 +9,11 @@ from eventposet import generators
 from eventposet import (
     ChainEscapesWindowError,
     EmptyWindowError,
+    InvalidArgumentError,
     LatticeChainSpec,
     LatticeSpec,
     OutOfRangeError,
+    SimplexSpec,
     chain_distance,
     check_coordinated,
     detect_linear_relation,
@@ -20,6 +22,7 @@ from eventposet import (
     generate_random,
     generate_simplex,
     maximal_chains,
+    standard_lattice,
 )
 
 
@@ -135,6 +138,28 @@ def test_random_density_extremes():
         half = generate_random(7, n_events, 0.5)
         assert half.event_count == n_events
         assert len(half.cover_edges()) <= n_events * (n_events - 1) // 2
+
+
+@pytest.mark.parametrize("call", [
+    # Each used to return (a float id, or a one-chain simplex for True) or
+    # raise a TypeError or AttributeError.
+    pytest.param(lambda: standard_lattice(4, 4).event(1.5, 0), id="event-float"),
+    pytest.param(lambda: standard_lattice(4, 4).event(True, 0), id="event-bool"),
+    pytest.param(lambda: standard_lattice(4, 4).event(0, 4), id="event-outside"),
+    pytest.param(lambda: generate_random(0, 2.5, 0.5), id="random-float-count"),
+    pytest.param(lambda: generate_random(0, True, 0.5), id="random-bool-count"),
+    pytest.param(lambda: generate_lattice(LatticeSpec(2.5, 3)), id="lattice-float-size"),
+    pytest.param(lambda: generate_lattice(LatticeSpec(-1, 3)), id="lattice-negative-size"),
+    pytest.param(lambda: generate_lattice(LatticeSpec(3, 3, (
+        LatticeChainSpec("P", 1, 1, 0.5, 0),))), id="lattice-float-chain-start"),
+    pytest.param(lambda: generate_simplex(2.5), id="simplex-float"),
+    pytest.param(lambda: generate_simplex(True), id="simplex-bool"),
+    pytest.param(lambda: generate_simplex("3"), id="simplex-str"),
+    pytest.param(lambda: SimplexSpec(2.0), id="simplex-spec-float"),
+])
+def test_generator_arguments_follow_the_int_rule(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
 
 
 def test_random_deterministic():

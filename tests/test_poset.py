@@ -1,13 +1,21 @@
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, strategies as st
 
 from eventposet import (
     Comparability,
     CycleDetectedError,
+    InvalidArgumentError,
     InvalidIdError,
     build_poset,
     chain_poset,
 )
+
+
+class _Event(IntEnum):
+    FIRST = 0
+    SECOND = 1
 
 
 def test_minimal_chain():
@@ -80,6 +88,24 @@ def test_event_cap():
         build_poset(10, [], max_events=5)
     with pytest.raises(ValueError):
         build_poset(-1, [])
+
+
+@pytest.mark.parametrize("count", [True, False, 2.5, -1, 4097, "3", None], ids=repr)
+def test_event_counts_are_plain_ints_within_the_cap(count):
+    # A bool used to build Poset(events=True); a float or str raised TypeError.
+    with pytest.raises(InvalidArgumentError, match=r"is not an int in 0\.\.4096"):
+        build_poset(count, [])
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, _Event.SECOND, "1", None, -1, 3], ids=repr)
+def test_event_ids_are_plain_ints_within_the_poset(bad):
+    # An IntEnum member used to pass as the id it equals.
+    poset = build_poset(3, [(0, 1)])
+    with pytest.raises(InvalidIdError, match=f"event id {bad!r} not in 0..2"):
+        poset.check_id(bad)
+    for relation in ((bad, 2), (2, bad)):
+        with pytest.raises(InvalidIdError, match=f"event id {bad!r} not in 0..2"):
+            build_poset(3, [(0, 1), relation])
 
 
 def test_reverse_flips_order():

@@ -1,0 +1,104 @@
+"""The refusal contract: every error the library raises is an EventPosetError.
+
+Each ``raise`` in ``src/eventposet`` is read from the source with ``ast``.
+The raised class, or the return annotation of a function that builds the
+exception, must subclass ``EventPosetError``. A bare re-raise passes on
+what it caught. The CLI's argv signals are the only other raises: they end
+in exit code 2 or the process's exit status, never in a caller's hands.
+"""
+import ast
+import importlib
+import typing
+from pathlib import Path
+
+import pytest
+
+import eventposet
+from eventposet import EventPosetError, InvalidArgumentError, InvalidIdError
+
+SOURCES = sorted(Path(eventposet.__file__).parent.glob("*.py"))
+
+CLI_SIGNALS = {
+    ("cli", "_UsageError"),  # exit 2 with the subcommand's usage line
+    ("cli", "argparse.ArgumentTypeError"),  # argparse's exit 2 for a bad value
+    ("cli", "SystemExit"),  # entry(): the exit status of main()
+}
+
+
+def _raised_class(module, target: ast.expr):
+    """The exception class that ``raise <target>`` or ``raise <target>(...)``
+    raises, read from ``module``'s names."""
+    obj = eval(compile(ast.Expression(target), "<raise>", "eval"), vars(module))
+    if isinstance(obj, type):
+        return obj
+    return typing.get_type_hints(obj)["return"]
+
+
+def _offenders(stem: str, tree: ast.AST) -> list[str]:
+    """The raises in ``tree``, the source of ``eventposet.<stem>``, that
+    break the contract. The module is imported only to resolve a raise, so
+    ``__main__``, which raises nothing, is never run."""
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if (stem, ast.unparse(target)) in CLI_SIGNALS:
+            continue
+        module = importlib.import_module(f"eventposet.{stem}")
+        if not issubclass(_raised_class(module, target), EventPosetError):
+            bad.append(f"{stem}.py:{node.lineno}: raise {ast.unparse(node.exc)}")
+    return bad
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_raise_is_an_event_poset_error(path):
+    assert _offenders(path.stem, ast.parse(path.read_text())) == []
+
+
+def test_the_contract_check_sees_a_bare_value_error():
+    tree = ast.parse(
+        "def f(n):\n"
+        "    if n < 0:\n"
+        "        raise ValueError('negative')\n"
+        "    raise InvalidArgumentError('too big')\n"
+    )
+    assert _offenders("poset", tree) == ["poset.py:3: raise ValueError('negative')"]
+
+
+def test_the_contract_check_reads_exception_factories():
+    # intervals raises the FloatRangeError that _out_of_range builds.
+    module = importlib.import_module("eventposet.intervals")
+    targets = [
+        node.exc.func for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+        if isinstance(node, ast.Raise) and "_out_of_range" in ast.unparse(node)
+    ]
+    assert targets
+    assert all(_raised_class(module, t) is eventposet.FloatRangeError for t in targets)
+
+
+@pytest.mark.parametrize("call", [
+    # The argument checks that raised a bare ValueError.
+    pytest.param(lambda: eventposet.LinearRelation(-1, 1), id="linear-relation"),
+    pytest.param(lambda: eventposet.build_poset(-1, []), id="negative-count"),
+    pytest.param(lambda: eventposet.build_poset(5, [], max_events=4), id="count-over-cap"),
+    pytest.param(lambda: eventposet.export_dot(eventposet.chain_poset(2), mode="x"),
+                 id="export-mode"),
+    pytest.param(lambda: eventposet.export_dot(eventposet.chain_poset(2), mode="geometric"),
+                 id="geometric-export-without-chains"),
+    pytest.param(lambda: eventposet.LatticeChainSpec("P", 0, 0), id="chain-spec"),
+    pytest.param(lambda: eventposet.SimplexSpec(0), id="simplex-spec"),
+    pytest.param(lambda: eventposet.standard_lattice(4, 4).event(9, 0), id="lattice-event"),
+    pytest.param(lambda: eventposet.generate_random(0, 5, 1.5), id="random-density"),
+])
+def test_argument_checks_raise_invalid_argument_error(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
+
+
+def test_invalid_arguments_are_value_errors_and_event_poset_errors():
+    assert issubclass(InvalidArgumentError, ValueError)
+    assert issubclass(InvalidArgumentError, EventPosetError)
+    for window_error in (eventposet.EmptyWindowError, eventposet.ChainEscapesWindowError):
+        assert issubclass(window_error, InvalidArgumentError)
+    assert not issubclass(InvalidIdError, ValueError)
