@@ -15,6 +15,7 @@ and backward projection the smaller, so a ``(1, 2)`` chain relates as
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 
@@ -34,10 +35,11 @@ class LatticeChainSpec:
     v0: int = 0
 
     def __post_init__(self):
-        if self.du < 0 or self.dv < 0 or (self.du == 0 and self.dv == 0):
+        steps = (self.du, self.dv)
+        if not all(_is_index(step, math.inf) for step in steps) or steps == (0, 0):
             raise InvalidArgumentError(
-                f"chain {self.name!r} must step forward in at least one "
-                f"coordinate, got ({self.du}, {self.dv})"
+                f"chain {self.name!r} must step forward by ints >= 0, in at least "
+                f"one coordinate, got ({self.du!r}, {self.dv!r})"
             )
 
 
@@ -188,8 +190,8 @@ def generate_random(seed: int, n_events: int, edge_density: float) -> Poset:
     the poset drawn for a given seed differs from the one that per-pair
     generator drew.
     """
-    if not 0.0 <= edge_density <= 1.0:
-        raise InvalidArgumentError("edge_density must be within [0, 1]")
+    if not (isinstance(edge_density, numbers.Real) and 0 <= edge_density <= 1):
+        raise InvalidArgumentError(f"edge_density {edge_density!r} is not a real number in [0, 1]")
     _check_event_count(n_events)
     rng = random.Random(seed)
     order = list(range(n_events))
@@ -217,7 +219,9 @@ def generate_random(seed: int, n_events: int, edge_density: float) -> Poset:
 
 
 def maximal_chains(poset: Poset, seed: int, count: int) -> list[tuple[EventId, ...]]:
-    """Sample maximal chains by random walks along cover edges."""
+    """Sample ``count`` maximal chains by random walks along cover edges."""
+    if not _is_index(count, math.inf):
+        raise InvalidArgumentError(f"count {count!r} is not an int >= 0")
     successors: dict[int, list[int]] = {}
     predecessors: dict[int, list[int]] = {}
     for a, b in poset.cover_edges():

@@ -16,6 +16,7 @@ so mutation requires a rebuild. A built poset is safe for concurrent reads.
 """
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -115,7 +116,10 @@ class Poset:
 
 
 def _check_event_count(event_count: int, max_events: int = DEFAULT_MAX_EVENTS) -> None:
-    """Raise InvalidArgumentError unless ``event_count`` is an int in ``0..max_events``."""
+    """Raise InvalidArgumentError unless ``max_events`` is an int >= 0 and
+    ``event_count`` an int in ``0..max_events``."""
+    if not _is_index(max_events, math.inf):
+        raise InvalidArgumentError(f"max_events {max_events!r} is not an int >= 0")
     if not _is_index(event_count, max_events + 1):
         raise InvalidArgumentError(
             f"event_count {event_count!r} is not an int in 0..{max_events}"
@@ -137,8 +141,9 @@ def build_poset(
     the stack from that event back to it is the witness.
 
     Raises:
-        InvalidArgumentError: ``event_count`` is not an int in
-            ``0..max_events``.
+        InvalidArgumentError: ``max_events`` is not an int >= 0,
+            ``event_count`` is not an int in ``0..max_events``, or
+            ``relations`` is not an iterable of pairs.
         InvalidIdError: an endpoint is not an int in ``0..event_count-1``.
         CycleDetectedError: the relations order some event before itself;
             the exception names a witness cycle.
@@ -146,13 +151,18 @@ def build_poset(
     _check_event_count(event_count, max_events)
 
     adjacency: list[list[int]] = [[] for _ in range(event_count)]
-    for a, b in relations:
-        if not (_is_index(a, event_count) and _is_index(b, event_count)):
-            bad = b if _is_index(a, event_count) else a
-            raise InvalidIdError(f"event id {bad!r} not in 0..{event_count - 1}")
-        if a == b:
-            raise CycleDetectedError((a, a))
-        adjacency[a].append(b)
+    # Nothing in the loop body raises TypeError or ValueError: either comes
+    # from iterating ``relations`` or unpacking one, so no relation pays a check.
+    try:
+        for a, b in relations:
+            if not (_is_index(a, event_count) and _is_index(b, event_count)):
+                bad = b if _is_index(a, event_count) else a
+                raise InvalidIdError(f"event id {bad!r} not in 0..{event_count - 1}")
+            if a == b:
+                raise CycleDetectedError((a, a))
+            adjacency[a].append(b)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"relations are not an iterable of pairs: {exc}") from None
 
     # One depth-first pass. state[v] is _UNVISITED, _ON_STACK, or v's rank:
     # finish numbers count down, so a rank is a topological position. When v

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chains import Chain, IndexRange, ValuedChain, _cached_per_partner, _checked_window
+from .chains import (
+    Chain,
+    IndexRange,
+    ValuedChain,
+    _cached_per_partner,
+    _checked_window,
+    as_fraction,
+)
 from .errors import (
     DifferentChainsError,
     InvalidArgumentError,
@@ -77,6 +84,8 @@ class LinearRelation:
     n: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "m", as_fraction(self.m))
+        object.__setattr__(self, "n", as_fraction(self.n))
         if self.m < 0 or self.n < 0:
             raise InvalidArgumentError("projection step lengths cannot be negative")
 

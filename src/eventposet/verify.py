@@ -119,6 +119,13 @@ def _aligned_rest_chains(lattice: Lattice) -> dict[str, ValuedChain]:
     }
 
 
+def _rest_pairs(lattice: Lattice) -> Iterator[tuple[str, str, ValuedChain, ValuedChain]]:
+    """``(a, b, p, q)`` for each pair of aligned rest chains, in name order."""
+    rest = _aligned_rest_chains(lattice)
+    for a, b in combinations(sorted(rest), 2):
+        yield a, b, rest[a], rest[b]
+
+
 # ---------------------------------------------------------------------------
 # Individual checks. Each returns a list of violation strings.
 
@@ -242,26 +249,24 @@ def _check_length_additivity(chains: Iterable[ValuedChain]) -> list[str]:
 
 def _check_coordination(lattice: Lattice) -> list[str]:
     bad = []
-    rest = _aligned_rest_chains(lattice)
-    for a, b in combinations(sorted(rest), 2):
+    for a, b, p, q in _rest_pairs(lattice):
         try:
-            if not check_coordinated(rest[a], rest[b]):
+            if not check_coordinated(p, q):
                 bad.append(f"rest chains {a}, {b} not coordinated")
-            if not check_coordinated(rest[b], rest[a]):
+            if not check_coordinated(q, p):
                 bad.append(f"coordination not symmetric for {a}, {b}")
         except EventPosetError as exc:
             bad.append(f"coordination check failed for {a}, {b}: {exc}")
-        doubled = rest[b].revalued([2 * v for v in rest[b].values])
+        doubled = q.revalued([2 * v for v in q.values])
         try:
-            if check_coordinated(rest[a], doubled):
+            if check_coordinated(p, doubled):
                 bad.append(f"double-rate revaluation of {b} still coordinated")
         except EventPosetError:
             pass
     # An interior rest chain coordinates over scoped ranges: the early
     # neighbors piling onto its first element are excluded by the window.
-    if "T" in lattice.chains and "P" in rest:
-        t = lattice.chains["T"]
-        p = rest["P"]
+    if "T" in lattice.chains and "P" in _aligned_rest_chains(lattice):
+        p, t = lattice.chains["P"], lattice.chains["T"]
         try:
             if not check_coordinated(p, t, (2, len(t) + 1), (0, len(t) - 1)):
                 bad.append("P and T not coordinated over scoped ranges")
@@ -309,9 +314,7 @@ def _check_linear_relation(lattice: Lattice) -> list[str]:
 
 def _check_distance_constancy(lattice: Lattice) -> list[str]:
     bad = []
-    rest = _aligned_rest_chains(lattice)
-    for a, b in combinations(sorted(rest), 2):
-        p, q = rest[a], rest[b]
+    for a, b, p, q in _rest_pairs(lattice):
         seen: set[Fraction] = set()
         for p_event in p.elements:
             for q_event in q.elements:
@@ -337,9 +340,7 @@ def _two_chain_pairs(
 ) -> Iterator[tuple[str, str, ValuedChain, ValuedChain, GeneralizedInterval, IntervalPair]]:
     """``(a, b, p, q, interval, two_chain_pair)`` for every interval between
     each pair of aligned rest chains; the one-chain partner is the caller's."""
-    rest = _aligned_rest_chains(lattice)
-    for a, b in combinations(sorted(rest), 2):
-        p, q = rest[a], rest[b]
+    for a, b, p, q in _rest_pairs(lattice):
         between = _between_events(p, q)
         for xa in between:
             for xb in between:
@@ -410,11 +411,7 @@ def _check_scalar_invariance(lattice: Lattice) -> list[str]:
 
 def _check_sign_preservation(lattice: Lattice) -> list[str]:
     bad = []
-    rest = _aligned_rest_chains(lattice)
-    chain_pairs = [
-        (rest[a], rest[b], set(_between_events(rest[a], rest[b])))
-        for a, b in combinations(sorted(rest), 2)
-    ]
+    chain_pairs = [(p, q, set(_between_events(p, q))) for _, _, p, q in _rest_pairs(lattice)]
     events = list(lattice.poset.events())
     for xa in events:
         for xb in events:
@@ -546,100 +543,77 @@ def run_for(
 
     Used by ``verify --input/--gen``; generator-specific sweeps (scalar
     invariance, coordination, simplex distances) need the built-in
-    configurations and run through :func:`run_all` instead.
+    configurations and run through :func:`run_all` instead. The three
+    chain checks run only when the poset comes with chains.
     """
-    checks: list[tuple[str, Callable[[], list[str]]]] = [
-        ("order-axioms", lambda: _check_order_axioms(poset)),
-        ("reduction-roundtrip", lambda: _check_reduction_roundtrip(poset)),
-        ("text-roundtrip", lambda: _check_text_roundtrip(poset, chains)),
+    checks = [
+        ("order-axioms", _check_order_axioms, poset),
+        ("reduction-roundtrip", _check_reduction_roundtrip, poset),
+        ("text-roundtrip", _check_text_roundtrip, poset, chains),
     ]
     if chains:
         chain_list = [vc.chain for vc in chains.values()]
-        checks.extend(
-            [
-                (
-                    "projection-oracle",
-                    lambda: _check_projection_oracle(poset, chain_list),
-                ),
-                (
-                    "projection-monotonicity",
-                    lambda: _check_projection_monotone(poset, chain_list),
-                ),
-                (
-                    "interval-length-additivity",
-                    lambda: _check_length_additivity(chains.values()),
-                ),
-            ]
-        )
+        checks += [
+            ("projection-oracle", _check_projection_oracle, poset, chain_list),
+            ("projection-monotonicity", _check_projection_monotone, poset, chain_list),
+            ("interval-length-additivity", _check_length_additivity, chains.values()),
+        ]
     return _run_checks(checks, report)
 
 
 def run_all(report: Callable[[str], None] = print) -> list[CheckResult]:
-    """Run every invariant check over the built-in corpus."""
+    """Run every invariant check over the built-in corpus, all built before the first check."""
     small = standard_lattice(8, 8)
     big = standard_lattice(12, 12)
     projection = projection_lattice()
     randoms = [generate_random(seed, 40, density) for seed, density in
                ((0, 0.08), (1, 0.2), (2, 0.5))]
 
-    checks: list[tuple[str, Callable[[], list[str]]]] = []
-
-    def add(name: str, fn: Callable[[], list[str]]):
-        checks.append((name, fn))
-
+    checks = []
     for label, poset in (
         ("lattice-8x8", small.poset),
         ("lattice-12x12", big.poset),
         *((f"random-{i}", p) for i, p in enumerate(randoms)),
     ):
-        add(f"order-axioms[{label}]", lambda p=poset: _check_order_axioms(p))
-        add(f"reduction-roundtrip[{label}]", lambda p=poset: _check_reduction_roundtrip(p))
-
-    for label, lattice in (("8x8", small), ("12x12", big)):
-        chains = [vc.chain for vc in lattice.chains.values()]
-        add(
-            f"projection-oracle[lattice-{label}]",
-            lambda p=lattice.poset, c=chains: _check_projection_oracle(p, c),
-        )
-        add(
-            f"projection-monotonicity[lattice-{label}]",
-            lambda p=lattice.poset, c=chains: _check_projection_monotone(p, c),
-        )
-    for i, poset in enumerate(randoms):
-        chains = [
-            Chain(poset, elems, f"W{j}")
-            for j, elems in enumerate(maximal_chains(poset, seed=i, count=3))
+        checks += [
+            (f"order-axioms[{label}]", _check_order_axioms, poset),
+            (f"reduction-roundtrip[{label}]", _check_reduction_roundtrip, poset),
         ]
-        add(
-            f"projection-oracle[random-{i}]",
-            lambda p=poset, c=chains: _check_projection_oracle(p, c),
-        )
+    for label, lattice in (("lattice-8x8", small), ("lattice-12x12", big)):
+        poset, chains = lattice.poset, [vc.chain for vc in lattice.chains.values()]
+        checks += [
+            (f"projection-oracle[{label}]", _check_projection_oracle, poset, chains),
+            (f"projection-monotonicity[{label}]", _check_projection_monotone, poset, chains),
+        ]
+    for i, poset in enumerate(randoms):
+        walks = maximal_chains(poset, seed=i, count=3)
+        chains = [Chain(poset, elems, f"W{j}") for j, elems in enumerate(walks)]
+        checks.append((f"projection-oracle[random-{i}]", _check_projection_oracle, poset, chains))
 
-    add("interval-length-additivity", lambda: _check_length_additivity(big.chains.values()))
-    add("collinearity-uniqueness", lambda: _check_collinearity_unique(small))
-    add("collinearity-self-duality", lambda: _check_self_duality(small))
-    add("coordination-rest-chains", lambda: _check_coordination(big))
-    add("linear-relation-detection", lambda: _check_linear_relation(big))
-    add("chain-distance-constancy", lambda: _check_distance_constancy(big))
-    add("two-chain-vs-one-chain", lambda: _check_two_vs_one_chain(small))
-    add("scalar-invariance", lambda: _check_scalar_invariance(big))
-    add("sign-preservation", lambda: _check_sign_preservation(small))
-    add("simplex-equal-distances", _check_simplex)
-    add("transform-layer", _check_transform_layer)
-    add("minkowski-identity", _check_minkowski)
-    add("subspace-projection", lambda: _check_subspace_projection(projection))
-    add("text-roundtrip", lambda: _check_text_roundtrip(big.poset, big.chains))
-
+    checks += [
+        ("interval-length-additivity", _check_length_additivity, big.chains.values()),
+        ("collinearity-uniqueness", _check_collinearity_unique, small),
+        ("collinearity-self-duality", _check_self_duality, small),
+        ("coordination-rest-chains", _check_coordination, big),
+        ("linear-relation-detection", _check_linear_relation, big),
+        ("chain-distance-constancy", _check_distance_constancy, big),
+        ("two-chain-vs-one-chain", _check_two_vs_one_chain, small),
+        ("scalar-invariance", _check_scalar_invariance, big),
+        ("sign-preservation", _check_sign_preservation, small),
+        ("simplex-equal-distances", _check_simplex),
+        ("transform-layer", _check_transform_layer),
+        ("minkowski-identity", _check_minkowski),
+        ("subspace-projection", _check_subspace_projection, projection),
+        ("text-roundtrip", _check_text_roundtrip, big.poset, big.chains),
+    ]
     return _run_checks(checks, report)
 
 
-def _run_checks(
-    checks: list[tuple[str, Callable[[], list[str]]]],
-    report: Callable[[str], None],
-) -> list[CheckResult]:
+def _run_checks(checks: list[tuple], report: Callable[[str], None]) -> list[CheckResult]:
+    """Run each ``(name, sweep, *args)`` row in order, one reported line each."""
     results = []
-    for name, fn in checks:
-        violations = fn()
+    for name, sweep, *args in checks:
+        violations = sweep(*args)
         result = CheckResult(name, not violations, "; ".join(violations[:3]))
         results.append(result)
         status = "PASS" if result.passed else "FAIL"

@@ -290,6 +290,40 @@ def test_verify_exits_zero(capsys):
     assert out.splitlines()[-1] == "31/31 checks passed"
 
 
+VERIFY_FOR_NAMES = [
+    "order-axioms",
+    "reduction-roundtrip",
+    "text-roundtrip",
+    "projection-oracle",
+    "projection-monotonicity",
+    "interval-length-additivity",
+]
+
+
+@pytest.mark.parametrize("gen, names", [
+    ("lattice:8,8", VERIFY_FOR_NAMES),
+    # No chains, so no chain checks.
+    ("random:0,40,0.2", VERIFY_FOR_NAMES[:3]),
+])
+def test_verify_gen_runs_the_per_poset_checks(gen, names, capsys):
+    assert main(["verify", "--gen", gen]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"[PASS] {name}" for name in names),
+        f"{len(names)}/{len(names)} checks passed",
+    ]
+
+
+def test_verify_gen_reports_a_failing_check(monkeypatch, capsys):
+    # The rows are built per call, so a patched sweep is the one that runs.
+    from eventposet import verify
+
+    monkeypatch.setattr(verify, "_check_order_axioms", lambda poset: ["v1", "v2", "v3", "v4"])
+    assert main(["verify", "--gen", "lattice:8,8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[FAIL] order-axioms: v1; v2; v3"
+    assert lines[-1] == "5/6 checks passed"
+
+
 _GEN_SPEC = st.one_of(
     st.builds("lattice:{},{}".format, st.integers(-1, 6), st.integers(-1, 6)),
     st.builds("simplex:{}".format, st.integers(-1, 5)),

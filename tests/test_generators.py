@@ -14,7 +14,9 @@ from eventposet import (
     LatticeSpec,
     OutOfRangeError,
     SimplexSpec,
+    build_poset,
     chain_distance,
+    chain_poset,
     check_coordinated,
     detect_linear_relation,
     forward_project,
@@ -156,6 +158,19 @@ def test_random_density_extremes():
     pytest.param(lambda: generate_simplex(True), id="simplex-bool"),
     pytest.param(lambda: generate_simplex("3"), id="simplex-str"),
     pytest.param(lambda: SimplexSpec(2.0), id="simplex-spec-float"),
+    # Each used to raise a TypeError or ValueError, or return [] for count -1.
+    pytest.param(lambda: generate_random(0, 10, "x"), id="random-str-density"),
+    pytest.param(lambda: generate_random(0, 10, None), id="random-none-density"),
+    pytest.param(lambda: maximal_chains(chain_poset(3), 0, "x"), id="walks-str-count"),
+    pytest.param(lambda: maximal_chains(chain_poset(3), 0, -1), id="walks-negative-count"),
+    pytest.param(lambda: build_poset(3, [], max_events="x"), id="build-str-cap"),
+    pytest.param(lambda: build_poset(3, [(0, 1, 2)]), id="build-triple-relation"),
+    pytest.param(lambda: build_poset(3, [0]), id="build-int-relation"),
+    pytest.param(lambda: build_poset(3, None), id="build-none-relations"),
+    # A float step used to build a chain of float ids, refused as an id
+    # the caller never gave.
+    pytest.param(lambda: LatticeChainSpec("P", 0.5, 1), id="chain-float-step"),
+    pytest.param(lambda: LatticeChainSpec("P", "a", 1), id="chain-str-step"),
 ])
 def test_generator_arguments_follow_the_int_rule(call):
     with pytest.raises(InvalidArgumentError):

@@ -19,6 +19,7 @@ from eventposet import (
     FloatRangeError,
     FormatError,
     IntervalPair,
+    LinearRelation,
     PairTransform,
     apply_pair_transform,
     chain_poset,
@@ -148,6 +149,7 @@ def test_library_strings_go_through_the_token_parser(token, message):
     for build in (
         lambda: make_valued_chain(chain_poset(1), (0,), (token,)),
         lambda: PairTransform(token, 1),
+        lambda: LinearRelation(token, 1),
         lambda: pair(1, token),
         lambda: IntervalPair(token, 1),
     ):
