@@ -23,6 +23,7 @@ from .errors import (
     DifferentChainsError,
     FloatRangeError,
     FormatError,
+    InvalidArgumentError,
     NotAChainError,
     NotAdjacentError,
     NotIsotonicError,
@@ -38,7 +39,8 @@ _T = TypeVar("_T")
 def as_fraction(value: RationalLike) -> Fraction:
     """Normalize ints, strings like ``3/2`` (read by :func:`_parse_rational`),
     rationals and finite floats to Fraction; FloatRangeError names an
-    infinite or NaN float as Decimal spells it."""
+    infinite or NaN float as Decimal spells it, and InvalidArgumentError
+    names a value of any other type."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
@@ -47,6 +49,8 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(value)
     except (OverflowError, ValueError):
         raise FloatRangeError(f"{Decimal(value)} is not a finite number") from None
+    except TypeError:
+        raise InvalidArgumentError(f"{value!r} is neither a real number nor a string") from None
 
 
 # The grammar of ``Fraction(str)`` as of Python 3.11: a sign, then an

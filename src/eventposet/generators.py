@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .chains import ValuedChain, make_valued_chain
@@ -35,6 +36,8 @@ class LatticeChainSpec:
     v0: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidArgumentError(f"chain name {self.name!r} is not a str")
         steps = (self.du, self.dv)
         if not all(_is_index(step, math.inf) for step in steps) or steps == (0, 0):
             raise InvalidArgumentError(
@@ -48,6 +51,13 @@ class LatticeSpec:
     u_max: int
     v_max: int
     chains: tuple[LatticeChainSpec, ...] = ()
+
+    def __post_init__(self):
+        if isinstance(self.chains, Iterable):
+            object.__setattr__(self, "chains", tuple(self.chains))
+        chains = self.chains
+        if not (isinstance(chains, tuple) and all(isinstance(c, LatticeChainSpec) for c in chains)):
+            raise InvalidArgumentError(f"chains {chains!r} are not LatticeChainSpecs")
 
 
 @dataclass(frozen=True)
@@ -175,6 +185,17 @@ def generate_simplex(spec: SimplexSpec | int) -> tuple[Poset, dict[str, ValuedCh
     return poset, chains
 
 
+def _seeded_rng(seed) -> random.Random:
+    """``random.Random(seed)``, refusing with InvalidArgumentError a seed of
+    a type it does not take (anything but None, int, float, str and bytes)."""
+    try:
+        return random.Random(seed)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"seed {seed!r} is not None, an int, a float, a str or bytes"
+        ) from None
+
+
 def generate_random(seed: int, n_events: int, edge_density: float) -> Poset:
     """Random DAG, deterministic per seed.
 
@@ -193,7 +214,7 @@ def generate_random(seed: int, n_events: int, edge_density: float) -> Poset:
     if not (isinstance(edge_density, numbers.Real) and 0 <= edge_density <= 1):
         raise InvalidArgumentError(f"edge_density {edge_density!r} is not a real number in [0, 1]")
     _check_event_count(n_events)
-    rng = random.Random(seed)
+    rng = _seeded_rng(seed)
     order = list(range(n_events))
     rng.shuffle(order)
     relations = []
@@ -222,13 +243,13 @@ def maximal_chains(poset: Poset, seed: int, count: int) -> list[tuple[EventId, .
     """Sample ``count`` maximal chains by random walks along cover edges."""
     if not _is_index(count, math.inf):
         raise InvalidArgumentError(f"count {count!r} is not an int >= 0")
+    rng = _seeded_rng(seed)
     successors: dict[int, list[int]] = {}
     predecessors: dict[int, list[int]] = {}
     for a, b in poset.cover_edges():
         successors.setdefault(a, []).append(b)
         predecessors.setdefault(b, []).append(a)
     minimal = [v for v in poset.events() if v not in predecessors]
-    rng = random.Random(seed)
     chains = []
     for _ in range(count):
         if not minimal:

@@ -31,16 +31,20 @@ class ProjectionCase(Enum):
     D_BOTH = "both"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectionOutcome:
     case: ProjectionCase
     forward: EventId | None
     backward: EventId | None
 
 
-def _projection_positions(chain: Chain, forward: bool) -> list[int | None]:
-    """Chain position of the forward (or backward) projection of every
-    event of the poset, None where that projection is absent.
+_Table = tuple[list[int | None], list[int | None]]
+
+
+def _projection_table(chain: Chain) -> _Table:
+    """``(forward, backward)``: chain position of the forward and of the
+    backward projection of every event of the poset, None where that
+    projection is absent.
 
     The table of a chain is built on first use and cached on it.
     """
@@ -50,10 +54,15 @@ def _projection_positions(chain: Chain, forward: bool) -> list[int | None]:
         # table or a complete one.
         table = _build_table(chain)
         object.__setattr__(chain, "_projections", table)
-    return table[0] if forward else table[1]
+    return table
 
 
-def _build_table(chain: Chain) -> tuple[list[int | None], list[int | None]]:
+def _projection_positions(chain: Chain, forward: bool) -> list[int | None]:
+    """One half of the chain's projection table."""
+    return _projection_table(chain)[0 if forward else 1]
+
+
+def _build_table(chain: Chain) -> _Table:
     """``(forward, backward)`` positions of every event, from closure rows."""
     above = chain.poset._above
     elements = chain.elements
@@ -78,14 +87,14 @@ def _build_table(chain: Chain) -> tuple[list[int | None], list[int | None]]:
 def forward_project(x: EventId, chain: Chain) -> EventId | None:
     """Least chain element that includes ``x``, or None."""
     chain.poset.check_id(x)
-    position = _projection_positions(chain, True)[x]
+    position = _projection_table(chain)[0][x]
     return None if position is None else chain.elements[position]
 
 
 def backward_project(x: EventId, chain: Chain) -> EventId | None:
     """Greatest chain element included by ``x``, or None."""
     chain.poset.check_id(x)
-    position = _projection_positions(chain, False)[x]
+    position = _projection_table(chain)[1][x]
     return None if position is None else chain.elements[position]
 
 
@@ -99,10 +108,16 @@ _CASE_OF_PRESENCE = {
 
 def classify_projection(x: EventId, chain: Chain) -> ProjectionOutcome:
     """Combine both projections into the four-way case classification."""
-    forward = forward_project(x, chain)
-    backward = backward_project(x, chain)
-    case = _CASE_OF_PRESENCE[forward is not None, backward is not None]
-    return ProjectionOutcome(case, forward, backward)
+    # Checked before the table is read: ``forward[-1]`` or ``forward[True]``
+    # would be another event's projection.
+    chain.poset.check_id(x)
+    forward, backward = _projection_table(chain)
+    f, b = forward[x], backward[x]
+    return ProjectionOutcome(
+        _CASE_OF_PRESENCE[f is not None, b is not None],
+        None if f is None else chain.elements[f],
+        None if b is None else chain.elements[b],
+    )
 
 
 def _project_both_ways(x: EventId, chain: Chain) -> tuple[EventId, EventId]:

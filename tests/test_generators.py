@@ -171,11 +171,38 @@ def test_random_density_extremes():
     # the caller never gave.
     pytest.param(lambda: LatticeChainSpec("P", 0.5, 1), id="chain-float-step"),
     pytest.param(lambda: LatticeChainSpec("P", "a", 1), id="chain-str-step"),
+    # Each used to raise a TypeError, or accept a chain named None.
+    pytest.param(lambda: generate_random([1], 3, 0.5), id="random-list-seed"),
+    pytest.param(lambda: generate_random(1j, 3, 0.5), id="random-complex-seed"),
+    pytest.param(lambda: maximal_chains(chain_poset(3), [1], 1), id="walks-list-seed"),
+    pytest.param(lambda: generate_lattice(LatticeSpec(3, 3, None)), id="lattice-none-chains"),
+    pytest.param(lambda: generate_lattice(LatticeSpec(3, 3, (("P", 1, 1),))),
+                 id="lattice-tuple-chain"),
+    pytest.param(lambda: generate_lattice(LatticeSpec(3, 3, "P")), id="lattice-str-chains"),
+    pytest.param(lambda: LatticeChainSpec(None, 1, 1), id="chain-none-name"),
+    pytest.param(lambda: LatticeChainSpec(1, 1, 1), id="chain-int-name"),
 ])
 def test_generator_arguments_follow_the_int_rule(call):
     with pytest.raises(InvalidArgumentError):
         call()
 
+
+@pytest.mark.parametrize("seed", [7, "seven", 7.5, None])
+def test_every_seed_type_random_takes_still_works(seed):
+    poset = generate_random(seed, 12, 0.3)
+    assert poset.event_count == 12
+    if seed is not None:
+        assert poset.cover_edges() == generate_random(seed, 12, 0.3).cover_edges()
+        assert maximal_chains(poset, seed, 2) == maximal_chains(poset, seed, 2)
+    assert len(maximal_chains(poset, seed, 2)) == 2
+
+
+def test_lattice_spec_chains_become_a_tuple():
+    spec = LatticeSpec(3, 3, [LatticeChainSpec("P", 1, 1)])
+    assert spec.chains == (LatticeChainSpec("P", 1, 1),)
+    assert spec == LatticeSpec(3, 3, (LatticeChainSpec("P", 1, 1),))
+    assert hash(spec) == hash(LatticeSpec(3, 3, iter(spec.chains)))
+    assert generate_lattice(spec).chains["P"].elements == (0, 4, 8)
 
 def test_random_deterministic():
     a = generate_random(3, 25, 0.3)

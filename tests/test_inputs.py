@@ -19,6 +19,7 @@ from eventposet import (
     FloatRangeError,
     FormatError,
     IntervalPair,
+    InvalidArgumentError,
     LinearRelation,
     PairTransform,
     apply_pair_transform,
@@ -155,6 +156,20 @@ def test_library_strings_go_through_the_token_parser(token, message):
     ):
         with pytest.raises(FormatError, match=re.escape(repr(token))):
             build()
+
+
+@pytest.mark.parametrize("build", [
+    # Each used to end in Fraction's bare TypeError.
+    pytest.param(lambda: PairTransform(None, 1), id="pair-transform"),
+    pytest.param(lambda: LinearRelation(None, 1), id="linear-relation"),
+    pytest.param(lambda: pair(None, 1), id="pair"),
+    pytest.param(lambda: IntervalPair(None, 1), id="interval-pair"),
+    pytest.param(lambda: make_valued_chain(chain_poset(2), (0, 1), (None, 1)),
+                 id="valued-chain"),
+])
+def test_values_of_no_number_type_are_refused(build):
+    with pytest.raises(InvalidArgumentError, match="None is neither a real number nor a string"):
+        build()
 
 
 def test_library_strings_read_as_before():

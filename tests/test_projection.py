@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -20,8 +22,9 @@ from eventposet import (
     make_valued_chain,
     maximal_chains,
     quantify_event,
+    standard_lattice,
 )
-from oracles import brute_backward, brute_forward
+from oracles import brute_backward, brute_forward, lattice_backward, lattice_forward
 
 
 def test_element_on_chain_projects_to_itself(lattice12):
@@ -217,8 +220,8 @@ def test_projection_table_matches_linear_scan(data):
 
 
 def test_concurrent_first_projections_agree(lattice12):
-    # Threads race to build the same chain's table; each must read either
-    # no table or a complete one.
+    # Threads race to build the same chain's table, half of them through
+    # classify_projection; each must read either no table or a complete one.
     poset = lattice12.poset
     elements = lattice12.chains["P"].elements
     expected = [
@@ -232,15 +235,61 @@ def test_concurrent_first_projections_agree(lattice12):
             chain = Chain(poset, elements)
             barrier = threading.Barrier(6)
 
-            def sweep():
+            def sweep(classify):
                 barrier.wait(timeout=10)
+                if classify:
+                    outcomes = [classify_projection(x, chain) for x in poset.events()]
+                    return [(o.forward, o.backward) for o in outcomes]
                 return [
                     (forward_project(x, chain), backward_project(x, chain))
                     for x in poset.events()
                 ]
 
             with ThreadPoolExecutor(6) as pool:
-                futures = [pool.submit(sweep) for _ in range(6)]
+                futures = [pool.submit(sweep, i % 2) for i in range(6)]
                 assert all(f.result(timeout=30) == expected for f in futures)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.fixture(scope="module")
+def lattice64():
+    return standard_lattice(64, 64)
+
+
+# Straight chains of the standard lattice: (du, dv, u0, v0).
+_STEPS = {"P": (1, 1, 0, 0), "S": (4, 1, 0, 0)}
+
+
+@pytest.mark.parametrize("name", sorted(_STEPS))
+def test_outcomes_match_the_lattice_closed_form(lattice64, name):
+    # A fresh chain, so classify_projection builds the table.
+    poset = lattice64.poset
+    chain = Chain(poset, lattice64.chains[name].elements, name)
+    steps = (*_STEPS[name], len(chain))
+    for x in poset.events():
+        forward = lattice_forward(lattice64, x, *steps)
+        backward = lattice_backward(lattice64, x, *steps)
+        outcome = classify_projection(x, chain)
+        assert (outcome.forward, outcome.backward) == (forward, backward)
+        assert outcome.case is _ORACLE_CASE[forward is not None, backward is not None]
+        assert (forward_project(x, chain), backward_project(x, chain)) == (forward, backward)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+                         ids=["deepcopy", "pickle"])
+def test_a_chain_with_a_table_round_trips(lattice12, clone):
+    chain = Chain(lattice12.poset, lattice12.chains["P"].elements, "P")
+    classify_projection(0, chain)
+    cloned = clone(chain)
+    assert (cloned.elements, cloned.name) == (chain.elements, chain.name)
+    assert cloned._projections == chain._projections
+    for x in lattice12.poset.events():
+        assert classify_projection(x, cloned) == classify_projection(x, chain)
+
+
+def test_outcomes_are_frozen(lattice12):
+    outcome = classify_projection(0, lattice12.chains["P"].chain)
+    with pytest.raises(AttributeError):
+        outcome.forward = 1
+    assert not hasattr(outcome, "__dict__")
