@@ -51,7 +51,6 @@ from .generators import (
     Lattice,
     LatticeChainSpec,
     LatticeSpec,
-    SimplexSpec,
     generate_lattice,
     generate_random,
     generate_simplex,
@@ -86,7 +85,6 @@ from .projection import (
 )
 from .spacetime import (
     Character,
-    PairTransform,
     ScalarLength,
     ScalarResult,
     SpacetimeCoords,
@@ -113,7 +111,7 @@ from .structure import (
     Betweenness,
     CollinearityCase,
     IntervalPosition,
-    LinearRelation,
+    PairTransform,
     betweenness_of,
     chain_properly_collinear,
     check_compatible,

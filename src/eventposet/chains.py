@@ -187,10 +187,10 @@ class Chain:
         except TypeError:  # unhashable, so not an element
             return None
 
-    def subchain(self, lo: int, hi: int, name: str = "") -> "Chain":
+    def subchain(self, lo: int, hi: int) -> "Chain":
         """Elements at positions ``lo..hi`` inclusive, an index range of the chain."""
         _check_index_range(self, lo, hi)
-        return Chain(self.poset, self.elements[lo : hi + 1], name or self.name)
+        return Chain(self.poset, self.elements[lo : hi + 1], self.name)
 
 
 @dataclass(frozen=True)
@@ -250,8 +250,8 @@ class ValuedChain:
             raise DifferentChainsError(f"event {event} is not on chain {self.name!r}")
         return self.values[index]
 
-    def subchain(self, lo: int, hi: int, name: str = "") -> "ValuedChain":
-        return ValuedChain(self.chain.subchain(lo, hi, name), self.values[lo : hi + 1])
+    def subchain(self, lo: int, hi: int) -> "ValuedChain":
+        return ValuedChain(self.chain.subchain(lo, hi), self.values[lo : hi + 1])
 
     def revalued(self, values: Sequence[RationalLike]) -> "ValuedChain":
         """Same elements under a different valuation."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .chains import ValuedChain
-from .errors import EventPosetError, InvalidArgumentError, MissingProjectionError
+from .errors import EventPosetError, InvalidArgumentError
 from .poset import Poset
 from .projection import forward_project
 from .spacetime import chain_separation
@@ -98,10 +98,6 @@ def _geometric(chains: Mapping[str, ValuedChain]) -> str:
         placed.append(name)
         separations.update(pairwise)
 
-    if not placed:
-        raise MissingProjectionError(
-            "no subset of the chains has defined pairwise separations"
-        )
     if len(placed) == 1:
         ranks = {placed[0]: 0}
     else:

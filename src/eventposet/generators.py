@@ -58,19 +58,10 @@ class LatticeSpec:
         chains = self.chains
         if not (isinstance(chains, tuple) and all(isinstance(c, LatticeChainSpec) for c in chains)):
             raise InvalidArgumentError(f"chains {chains!r} are not LatticeChainSpecs")
-
-
-@dataclass(frozen=True)
-class SimplexSpec:
-    """N two-event chains whose tops include every bottom."""
-
-    n_chains: int
-
-    def __post_init__(self):
-        if not _is_index(self.n_chains, math.inf) or self.n_chains < 1:
-            raise InvalidArgumentError(
-                f"a simplex needs an int count of at least one chain, got {self.n_chains!r}"
-            )
+        names = [c.name for c in chains]
+        for name in names:
+            if names.count(name) > 1:
+                raise InvalidArgumentError(f"duplicate chain name {name!r}")
 
 
 @dataclass(frozen=True)
@@ -165,22 +156,23 @@ def standard_lattice(u_max: int = 12, v_max: int = 12) -> Lattice:
     return generate_lattice(spec)
 
 
-def generate_simplex(spec: SimplexSpec | int) -> tuple[Poset, dict[str, ValuedChain]]:
+def generate_simplex(n_chains: int) -> tuple[Poset, dict[str, ValuedChain]]:
     """N two-event chains x_i < y_i with every y including every x.
 
     By symmetry all pairwise chain distances are equal in magnitude, which
     is only realizable in N-1 spatial dimensions. Valuations are 0 at the
     bottom and 1 at the top of each chain.
     """
-    if not isinstance(spec, SimplexSpec):
-        spec = SimplexSpec(spec)
-    n = spec.n_chains
-    _check_event_count(2 * n)
-    relations = [(j, n + i) for i in range(n) for j in range(n)]
-    poset = build_poset(2 * n, relations)
+    if not _is_index(n_chains, math.inf) or n_chains < 1:
+        raise InvalidArgumentError(
+            f"a simplex needs an int count of at least one chain, got {n_chains!r}"
+        )
+    _check_event_count(2 * n_chains)
+    relations = [(j, n_chains + i) for i in range(n_chains) for j in range(n_chains)]
+    poset = build_poset(2 * n_chains, relations)
     chains = {
-        f"C{i + 1}": make_valued_chain(poset, (i, n + i), (0, 1), f"C{i + 1}")
-        for i in range(n)
+        f"C{i + 1}": make_valued_chain(poset, (i, n_chains + i), (0, 1), f"C{i + 1}")
+        for i in range(n_chains)
     }
     return poset, chains
 

@@ -57,11 +57,6 @@ def _projection_table(chain: Chain) -> _Table:
     return table
 
 
-def _projection_positions(chain: Chain, forward: bool) -> list[int | None]:
-    """One half of the chain's projection table."""
-    return _projection_table(chain)[0 if forward else 1]
-
-
 def _build_table(chain: Chain) -> _Table:
     """``(forward, backward)`` positions of every event, from closure rows."""
     above = chain.poset._above

@@ -6,6 +6,9 @@ among linearly-related quantifying chains; its sign separates chain-like
 intervals. The pair transform rescales components by sqrt(m/n) and its
 inverse, which under the change of variables dt = (first + second)/2,
 dx = (first - second)/2 is a Lorentz boost with beta = (m - n)/(m + n).
+:class:`PairTransform` itself is defined in :mod:`.structure`, where
+:func:`~.structure.detect_linear_relation` produces it; every operation on
+it is here.
 
 Results stay exact rationals whenever the needed square roots are exact
 (the lattice generators are arranged so they are); otherwise values fall
@@ -19,10 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chains import ValuedChain, as_fraction
+from .chains import ValuedChain
 from .errors import (
     CoincidentChainsError,
-    DegenerateTransformError,
     FloatRangeError,
     NotOrthogonalError,
     OutOfRangeError,
@@ -42,6 +44,7 @@ from .intervals import (
 )
 from .poset import EventId
 from .projection import quantify_event
+from .structure import PairTransform
 
 
 class Character(Enum):
@@ -72,31 +75,6 @@ class ScalarLength:
 
     def __str__(self) -> str:
         return f"{self.value}i" if self.imaginary else f"{self.value}"
-
-
-@dataclass(frozen=True)
-class PairTransform:
-    """Projection step lengths (m, n) relating two linearly-related chains.
-
-    A vanishing component means every element of one chain projects to a
-    single element of the other (|beta| = 1); such transforms cannot be
-    inverted and are rejected.
-    """
-
-    m: Fraction
-    n: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_fraction(self.m))
-        object.__setattr__(self, "n", as_fraction(self.n))
-        if self.m <= 0 or self.n <= 0:
-            raise DegenerateTransformError(
-                f"pair transform needs positive step lengths, got "
-                f"({self.m}, {self.n})"
-            )
-
-    def inverse(self) -> "PairTransform":
-        return PairTransform(self.n, self.m)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,12 @@ visible through other elements and are deliberately not searched for. The
 first classification against an ordered chain pair classifies every event
 at once (see ``_collinearity_table``) and caches that table on the first
 chain; every reader of a case or a side reads it.
+
+A chain linearly related to another projects its unit steps onto it with
+constant lengths (m, n); :func:`detect_linear_relation` returns them as a
+:class:`PairTransform`. The class is defined here, next to the detection
+that produces it, because :mod:`.spacetime`, which holds every operation
+on it, imports this module through :mod:`.intervals`.
 """
 from __future__ import annotations
 
@@ -32,8 +38,8 @@ from .chains import (
     as_fraction,
 )
 from .errors import (
+    DegenerateTransformError,
     DifferentChainsError,
-    InvalidArgumentError,
     MissingProjectionError,
     NotBetweenError,
     NotCompatibleError,
@@ -41,7 +47,7 @@ from .errors import (
     NotProperlyCollinearError,
 )
 from .poset import EventId
-from .projection import _project_both_ways, _projection_positions, quantify_event
+from .projection import _project_both_ways, _projection_table, quantify_event
 
 
 class CollinearityCase(Enum):
@@ -77,8 +83,13 @@ class IntervalPosition(Enum):
 
 
 @dataclass(frozen=True)
-class LinearRelation:
-    """Constant projection step lengths (m, n) per unit of valuation."""
+class PairTransform:
+    """Projection step lengths (m, n) relating two linearly-related chains.
+
+    A vanishing component means every element of one chain projects to a
+    single element of the other (|beta| = 1); such transforms cannot be
+    inverted and are rejected.
+    """
 
     m: Fraction
     n: Fraction
@@ -86,8 +97,14 @@ class LinearRelation:
     def __post_init__(self):
         object.__setattr__(self, "m", as_fraction(self.m))
         object.__setattr__(self, "n", as_fraction(self.n))
-        if self.m < 0 or self.n < 0:
-            raise InvalidArgumentError("projection step lengths cannot be negative")
+        if self.m <= 0 or self.n <= 0:
+            raise DegenerateTransformError(
+                f"pair transform needs positive step lengths, got "
+                f"({self.m}, {self.n})"
+            )
+
+    def inverse(self) -> "PairTransform":
+        return PairTransform(self.n, self.m)
 
 
 # The five identity blocks. Slots 0..3 stand for the four direct
@@ -137,9 +154,9 @@ def _build_collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
     # The projection of every event, per slot.
     images = [
         [None if position is None else chain.elements[position]
-         for position in _projection_positions(chain, forward)]
+         for position in positions]
         for chain in (p_chain, q_chain)
-        for forward in (True, False)
+        for positions in _projection_table(chain)
     ]
     # Entries share one tuple per distinct outcome, so a table costs a
     # pointer per event.
@@ -214,6 +231,7 @@ def chain_properly_collinear(x_chain: Chain, p_chain: Chain, q_chain: Chain) -> 
     and its projections must cover, without gaps, the stretch of each
     chain between the lowest backward image and the highest forward image.
     """
+    _check_same_poset(x_chain, p_chain)
     # Extremal projections must exist; monotonicity then covers the rest.
     _project_both_ways(x_chain.elements[0], p_chain)
     _project_both_ways(x_chain.elements[-1], p_chain)
@@ -268,6 +286,7 @@ def induced_chain_order(
     between the outer pair. The direction of the returned order follows
     the argument order; the opposite direction is equally valid.
     """
+    _check_same_poset(b_chain, a_chain)
     for x in b_chain.elements:
         side = betweenness_of(x, a_chain, c_chain)
         if side is not Betweenness.BETWEEN:
@@ -286,7 +305,7 @@ def _window_map(
     forward: bool,
 ) -> list[tuple[int, int]]:
     """Index pairs (i, j) of the projection map restricted to the windows."""
-    positions = _projection_positions(dst.chain, forward)
+    positions = _projection_table(dst.chain)[0 if forward else 1]
     pairs = []
     for i in range(src_range[0], src_range[1] + 1):
         j = positions[src.elements[i]]
@@ -401,14 +420,17 @@ def check_coordinated(
     return _length_witness(maps) is None
 
 
-def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> LinearRelation:
-    """Per-unit projection step lengths of chain S onto chain P.
+def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> PairTransform:
+    """The pair transform of chain S onto chain P: its per-unit projection
+    step lengths.
 
     Each valuation step of S must forward-project onto P with length
     ``m * step`` and backward-project with length ``n * step`` for fixed
     rationals m, n; constancy is exact, with no tolerance. Zero-length
-    steps (coarse graining) must project to zero-length steps.
+    steps (coarse graining) must project to zero-length steps. A null pair,
+    with m or n zero, is refused with DegenerateTransformError.
     """
+    _check_same_poset(s.chain, p.chain)
     if len(s) < 2:
         raise NotLinearlyRelatedError(
             f"chain {s.name!r} has no steps to compare"
@@ -441,4 +463,9 @@ def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> LinearRelation:
         raise NotLinearlyRelatedError(
             f"chain {s.name!r} has zero total length"
         )
-    return LinearRelation(m, n)
+    if m == 0 or n == 0:
+        raise DegenerateTransformError(
+            f"chain {s.name!r} projects onto {p.name!r} with lengths ({m}, {n}) "
+            "per unit: |beta| = 1, so the pair is not a frame"
+        )
+    return PairTransform(m, n)

@@ -374,14 +374,13 @@ def _check_scalar_invariance(lattice: Lattice) -> list[str]:
         s = lattice.chains[name]
         for rest_name, p in rest.items():
             try:
-                relation = detect_linear_relation(s, p)
+                transform = detect_linear_relation(s, p)
             except EventPosetError:
                 continue
-            scale = exact_sqrt(relation.m * relation.n)
+            scale = exact_sqrt(transform.m * transform.n)
             if scale is None:
                 bad.append(f"{name} vs {rest_name}: tick scalar not a perfect square")
                 continue
-            transform = PairTransform(relation.m, relation.n)
             coords = [quantify_event(x, p) for x in s.elements]
             for i in range(len(s)):
                 for j in range(i, len(s)):

@@ -13,7 +13,6 @@ from eventposet import (
     LatticeChainSpec,
     LatticeSpec,
     OutOfRangeError,
-    SimplexSpec,
     build_poset,
     chain_distance,
     chain_poset,
@@ -157,7 +156,6 @@ def test_random_density_extremes():
     pytest.param(lambda: generate_simplex(2.5), id="simplex-float"),
     pytest.param(lambda: generate_simplex(True), id="simplex-bool"),
     pytest.param(lambda: generate_simplex("3"), id="simplex-str"),
-    pytest.param(lambda: SimplexSpec(2.0), id="simplex-spec-float"),
     # Each used to raise a TypeError or ValueError, or return [] for count -1.
     pytest.param(lambda: generate_random(0, 10, "x"), id="random-str-density"),
     pytest.param(lambda: generate_random(0, 10, None), id="random-none-density"),
@@ -181,6 +179,9 @@ def test_random_density_extremes():
     pytest.param(lambda: generate_lattice(LatticeSpec(3, 3, "P")), id="lattice-str-chains"),
     pytest.param(lambda: LatticeChainSpec(None, 1, 1), id="chain-none-name"),
     pytest.param(lambda: LatticeChainSpec(1, 1, 1), id="chain-int-name"),
+    # Used to keep only the last of the two chains named P.
+    pytest.param(lambda: LatticeSpec(3, 3, (
+        LatticeChainSpec("P", 1, 1), LatticeChainSpec("P", 1, 0))), id="lattice-duplicate-chain-name"),
 ])
 def test_generator_arguments_follow_the_int_rule(call):
     with pytest.raises(InvalidArgumentError):

@@ -20,7 +20,6 @@ from eventposet import (
     FormatError,
     IntervalPair,
     InvalidArgumentError,
-    LinearRelation,
     PairTransform,
     apply_pair_transform,
     chain_poset,
@@ -150,7 +149,6 @@ def test_library_strings_go_through_the_token_parser(token, message):
     for build in (
         lambda: make_valued_chain(chain_poset(1), (0,), (token,)),
         lambda: PairTransform(token, 1),
-        lambda: LinearRelation(token, 1),
         lambda: pair(1, token),
         lambda: IntervalPair(token, 1),
     ):
@@ -161,7 +159,6 @@ def test_library_strings_go_through_the_token_parser(token, message):
 @pytest.mark.parametrize("build", [
     # Each used to end in Fraction's bare TypeError.
     pytest.param(lambda: PairTransform(None, 1), id="pair-transform"),
-    pytest.param(lambda: LinearRelation(None, 1), id="linear-relation"),
     pytest.param(lambda: pair(None, 1), id="pair"),
     pytest.param(lambda: IntervalPair(None, 1), id="interval-pair"),
     pytest.param(lambda: make_valued_chain(chain_poset(2), (0, 1), (None, 1)),

@@ -79,7 +79,6 @@ def test_the_contract_check_reads_exception_factories():
 
 @pytest.mark.parametrize("call", [
     # The argument checks that raised a bare ValueError.
-    pytest.param(lambda: eventposet.LinearRelation(-1, 1), id="linear-relation"),
     pytest.param(lambda: eventposet.build_poset(-1, []), id="negative-count"),
     pytest.param(lambda: eventposet.build_poset(5, [], max_events=4), id="count-over-cap"),
     pytest.param(lambda: eventposet.export_dot(eventposet.chain_poset(2), mode="x"),
@@ -87,7 +86,7 @@ def test_the_contract_check_reads_exception_factories():
     pytest.param(lambda: eventposet.export_dot(eventposet.chain_poset(2), mode="geometric"),
                  id="geometric-export-without-chains"),
     pytest.param(lambda: eventposet.LatticeChainSpec("P", 0, 0), id="chain-spec"),
-    pytest.param(lambda: eventposet.SimplexSpec(0), id="simplex-spec"),
+    pytest.param(lambda: eventposet.generate_simplex(0), id="simplex-spec"),
     pytest.param(lambda: eventposet.standard_lattice(4, 4).event(9, 0), id="lattice-event"),
     pytest.param(lambda: eventposet.generate_random(0, 5, 1.5), id="random-density"),
 ])

@@ -341,12 +341,11 @@ def test_second_boost_ratio_stays_exact():
     )
     lattice = generate_lattice(spec)
     s9, p = lattice.chains["S9"], lattice.chains["P"]
-    relation = detect_linear_relation(s9, p)
-    assert (relation.m, relation.n) == (9, 4)
-    t = PairTransform(relation.m, relation.n)
+    t = detect_linear_relation(s9, p)
+    assert t == PairTransform(9, 4)
     assert beta(t) == Fraction(5, 13)
     assert gamma(t) == Fraction(13, 12)
-    scale = exact_sqrt(relation.m * relation.n)
+    scale = exact_sqrt(t.m * t.n)
     assert scale == 6
     # Each tick interval agrees with the rest chain after the unit rescale.
     for i in range(len(s9) - 1):

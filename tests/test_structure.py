@@ -6,6 +6,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -14,11 +15,11 @@ from eventposet import (
     Chain,
     ClosedInterval,
     CollinearityCase,
+    DegenerateTransformError,
     DifferentChainsError,
     EventPosetError,
     GeneralizedInterval,
     IntervalPosition,
-    LinearRelation,
     MissingProjectionError,
     NotBetweenError,
     NotCompatibleError,
@@ -26,8 +27,10 @@ from eventposet import (
     NotLinearlyRelatedError,
     NotProperlyCollinearError,
     OutOfRangeError,
+    PairTransform,
     LatticeChainSpec,
     LatticeSpec,
+    beta,
     betweenness_of,
     build_poset,
     chain_distance,
@@ -36,6 +39,7 @@ from eventposet import (
     check_compatible,
     check_coordinated,
     collinearity_case,
+    compose_transforms,
     detect_linear_relation,
     generate_lattice,
     induced_chain_order,
@@ -306,7 +310,7 @@ def test_scoped_ranges_coordinate_interior_chain(lattice12):
 
 def test_linear_relation_coordinated_is_unit(lattice12):
     p, q = lattice12.chains["P"], lattice12.chains["Q"]
-    assert detect_linear_relation(p.subchain(4, 7), q) == LinearRelation(
+    assert detect_linear_relation(p.subchain(4, 7), q) == PairTransform(
         Fraction(1), Fraction(1)
     )
 
@@ -319,7 +323,7 @@ def test_linear_relation_boosted(lattice12):
 
 def test_linear_relation_self(lattice12):
     p = lattice12.chains["P"]
-    assert detect_linear_relation(p, p) == LinearRelation(Fraction(1), Fraction(1))
+    assert detect_linear_relation(p, p) == PairTransform(Fraction(1), Fraction(1))
 
 
 def test_linear_relation_irregular_chain(lattice12):
@@ -342,7 +346,7 @@ def _coarse(elements, values):
 
 def test_linear_relation_skips_a_coarse_grained_step():
     s, p = _coarse((1, 2, 4), (0, 0, 1))
-    assert detect_linear_relation(s, p) == LinearRelation(Fraction(1), Fraction(1))
+    assert detect_linear_relation(s, p) == PairTransform(Fraction(1), Fraction(1))
 
 
 def test_linear_relation_refuses_a_zero_step_with_projected_length():
@@ -366,12 +370,7 @@ def test_linear_relation_refuses_a_one_element_chain():
         detect_linear_relation(s, p)
 
 
-def test_linear_relation_rejects_negative_steps():
-    with pytest.raises(ValueError):
-        LinearRelation(Fraction(-1), Fraction(1))
-
-
-def test_coordination_refuses_chains_of_different_posets(lattice8, lattice12):
+def test_coordination_refuses_chains_of_different_posets(lattice8, lattice12, wide):
     # Each chain's ids index its own poset only.
     for p, q in (
         (lattice8.chains["P"], lattice12.chains["Q"]),
@@ -381,6 +380,54 @@ def test_coordination_refuses_chains_of_different_posets(lattice8, lattice12):
             check_compatible(p, q)
         with pytest.raises(DifferentChainsError):
             check_coordinated(p, q)
+    # A second build of the same lattice has the same ids on another poset.
+    # Each of these used to read one poset's tables at the other's ids and
+    # answer: (1, 1), True and (P, Q, R).
+    other = generate_lattice(wide.spec)
+    middle = wide.chains["Q"].subchain(4, 7)
+    p, r = other.chains["P"], other.chains["R"]
+    for call in (
+        lambda: detect_linear_relation(middle, p),
+        lambda: chain_properly_collinear(middle.chain, p.chain, r.chain),
+        lambda: induced_chain_order(p.chain, middle.chain, r.chain),
+    ):
+        with pytest.raises(DifferentChainsError):
+            call()
+
+
+def test_detected_transforms_compose_by_the_k_calculus():
+    # Bondi's k-factors multiply along U -> S -> P, and the betas obey
+    # velocity addition, for transforms detected on poset data. Every
+    # chain starts at the origin; ``steps`` gives its (du, dv) per tick.
+    steps = {"P": (1, 1), "A": (2, 1), "B": (4, 1), "C": (8, 1), "D": (16, 1), "E": (3, 2), "F": (9, 4)}
+    lattice = generate_lattice(LatticeSpec(64, 64, tuple(
+        LatticeChainSpec(name, du, dv) for name, (du, dv) in steps.items()
+    )))
+    chains = lattice.chains
+    detected = {}
+    for s, p in permutations(chains, 2):
+        try:
+            detected[s, p] = detect_linear_relation(chains[s], chains[p])
+        except EventPosetError:
+            continue
+    assert len(detected) == 13
+    for name, step in steps.items():
+        if name != "P":
+            assert detected[name, "P"] == PairTransform(*step)
+    triples = [
+        (u, s, p) for u, s, p in permutations(chains, 3)
+        if {(u, s), (s, p), (u, p)} <= detected.keys()
+    ]
+    assert len(triples) == 11
+    for u, s, p in triples:
+        assert compose_transforms(detected[u, s], detected[s, p]) == detected[u, p]
+        b1, b2 = beta(detected[u, s]), beta(detected[s, p])
+        assert beta(detected[u, p]) == (b1 + b2) / (1 + b1 * b2)
+    # D's backward image on F never moves: a null pair, named as such.
+    with pytest.raises(DegenerateTransformError) as info:
+        detect_linear_relation(chains["D"], chains["F"])
+    message = str(info.value)
+    assert "'D'" in message and "'F'" in message and "(2, 0)" in message
 
 
 @pytest.mark.parametrize(
