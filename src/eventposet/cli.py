@@ -50,6 +50,7 @@ from .structure import (
     _case_of,
     _collinearity_table,
     _side,
+    betweenness_of,
     detect_linear_relation,
 )
 from .textio import format_poset_text, parse_poset_text
@@ -164,11 +165,7 @@ def _cmd_relate(args) -> int:
     _, chains = _load(args)
     s = _chain(chains, args.chains[0])
     p = _chain(chains, args.chains[1])
-    try:
-        relation = detect_linear_relation(s, p)
-    except EventPosetError as exc:
-        print(f"not linearly related: {exc}")
-        return 1
+    relation = detect_linear_relation(s, p)
     print(f"m = {relation.m}")
     print(f"n = {relation.n}")
     return 0
@@ -227,9 +224,8 @@ def _cmd_dot(args) -> int:
     q = _chain(chains, args.chains[1])
     x, y = args.x, args.y
     value = subspace_projection(x, y, p, q)
-    table = _collinearity_table(p.chain, q.chain)
     for event in (x, y):
-        if _side(table[event]) is not Betweenness.BETWEEN:
+        if betweenness_of(event, p.chain, q.chain) is not Betweenness.BETWEEN:
             print(f"note: endpoint {event} is outside the chain slab (extrapolated)")
     print(f"projection = {value}")
     return 0

@@ -38,13 +38,12 @@ class ProjectionOutcome:
     backward: EventId | None
 
 
-_Table = tuple[list[int | None], list[int | None]]
+_Table = tuple[list[EventId | None], list[EventId | None]]
 
 
 def _projection_table(chain: Chain) -> _Table:
-    """``(forward, backward)``: chain position of the forward and of the
-    backward projection of every event of the poset, None where that
-    projection is absent.
+    """``(forward, backward)``: the forward and the backward projection of
+    every event of the poset, None where that projection is absent.
 
     The table of a chain is built on first use and cached on it.
     """
@@ -58,39 +57,36 @@ def _projection_table(chain: Chain) -> _Table:
 
 
 def _build_table(chain: Chain) -> _Table:
-    """``(forward, backward)`` positions of every event, from closure rows."""
+    """``(forward, backward)`` projections of every event, from closure rows."""
     above = chain.poset._above
     elements = chain.elements
-    length = len(elements)
     mask = 0
     for e in elements:
         mask |= 1 << e
-    # The chain elements above x are a suffix of the chain, so its length
-    # places the least of them.
+    # The chain elements above x are a suffix of the chain, so counting its
+    # length back from the end finds the least of them.
     counts = ((row & mask).bit_count() for row in above)
-    forward = [length - c if c else None for c in counts]
+    forward = [elements[-c] if c else None for c in counts]
     # The rows above[e_0] ⊇ above[e_1] ⊇ ... are nested, so x's backward
-    # position is the last row holding it.
-    backward: list[int | None] = [None] * len(above)
+    # projection is the element of the last row holding it.
+    backward: list[EventId | None] = [None] * len(above)
     rows = [above[e] for e in elements]
-    for i, (row, next_row) in enumerate(zip(rows, rows[1:] + [0])):
+    for e, row, next_row in zip(elements, rows, rows[1:] + [0]):
         for x in _iter_bits(row & ~next_row):
-            backward[x] = i
+            backward[x] = e
     return forward, backward
 
 
 def forward_project(x: EventId, chain: Chain) -> EventId | None:
     """Least chain element that includes ``x``, or None."""
     chain.poset.check_id(x)
-    position = _projection_table(chain)[0][x]
-    return None if position is None else chain.elements[position]
+    return _projection_table(chain)[0][x]
 
 
 def backward_project(x: EventId, chain: Chain) -> EventId | None:
     """Greatest chain element included by ``x``, or None."""
     chain.poset.check_id(x)
-    position = _projection_table(chain)[1][x]
-    return None if position is None else chain.elements[position]
+    return _projection_table(chain)[1][x]
 
 
 _CASE_OF_PRESENCE = {
@@ -108,11 +104,7 @@ def classify_projection(x: EventId, chain: Chain) -> ProjectionOutcome:
     chain.poset.check_id(x)
     forward, backward = _projection_table(chain)
     f, b = forward[x], backward[x]
-    return ProjectionOutcome(
-        _CASE_OF_PRESENCE[f is not None, b is not None],
-        None if f is None else chain.elements[f],
-        None if b is None else chain.elements[b],
-    )
+    return ProjectionOutcome(_CASE_OF_PRESENCE[f is not None, b is not None], f, b)
 
 
 def _project_both_ways(x: EventId, chain: Chain) -> tuple[EventId, EventId]:
@@ -121,8 +113,9 @@ def _project_both_ways(x: EventId, chain: Chain) -> tuple[EventId, EventId]:
     Raises NotQuantifiableError, a MissingProjectionError, naming the
     case of ``x`` when either projection is absent.
     """
-    forward = forward_project(x, chain)
-    backward = backward_project(x, chain)
+    chain.poset.check_id(x)
+    table = _projection_table(chain)
+    forward, backward = table[0][x], table[1][x]
     if forward is None or backward is None:
         case = _CASE_OF_PRESENCE[forward is not None, backward is not None]
         raise NotQuantifiableError(

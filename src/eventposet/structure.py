@@ -152,12 +152,7 @@ def _build_collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
     tables of the two chains, so each composite projection is a list read."""
     _check_same_poset(p_chain, q_chain)
     # The projection of every event, per slot.
-    images = [
-        [None if position is None else chain.elements[position]
-         for position in positions]
-        for chain in (p_chain, q_chain)
-        for positions in _projection_table(chain)
-    ]
+    images = [*_projection_table(p_chain), *_projection_table(q_chain)]
     # Entries share one tuple per distinct outcome, so a table costs a
     # pointer per event.
     interned: dict[tuple[CollinearityCase, ...], tuple[CollinearityCase, ...]] = {}
@@ -238,11 +233,11 @@ def chain_properly_collinear(x_chain: Chain, p_chain: Chain, q_chain: Chain) -> 
     _project_both_ways(x_chain.elements[0], q_chain)
     _project_both_ways(x_chain.elements[-1], q_chain)
 
+    if not all(is_properly_collinear(x, p_chain, q_chain) for x in x_chain.elements):
+        return False
     for target in (p_chain, q_chain):
         touched: set[int] = set()
         for x in x_chain.elements:
-            if not is_properly_collinear(x, p_chain, q_chain):
-                return False
             fwd, bwd = _project_both_ways(x, target)
             touched.add(target.index_of(fwd))
             touched.add(target.index_of(bwd))
@@ -305,10 +300,11 @@ def _window_map(
     forward: bool,
 ) -> list[tuple[int, int]]:
     """Index pairs (i, j) of the projection map restricted to the windows."""
-    positions = _projection_table(dst.chain)[0 if forward else 1]
+    images = _projection_table(dst.chain)[0 if forward else 1]
     pairs = []
     for i in range(src_range[0], src_range[1] + 1):
-        j = positions[src.elements[i]]
+        # A missing image (None) is off the chain too.
+        j = dst.index_of(images[src.elements[i]])
         if j is not None and dst_range[0] <= j <= dst_range[1]:
             pairs.append((i, j))
     return pairs

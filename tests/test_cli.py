@@ -58,10 +58,27 @@ def test_relate(capsys):
     assert "m = 4" in out and "n = 1" in out
 
 
-def test_relate_failure_exit_code(capsys):
+def test_relate_failure_exit_code(tmp_path, capsys):
+    # Refusals are the one ``error:`` line on stderr, whatever refused.
     code = main(["relate", "--gen", "lattice:12,12", "--chains", "P", "Q"])
     assert code == 1
-    assert "not linearly related" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: event 0 is forward-only with respect to chain 'Q'\n"
+
+    from eventposet import LatticeChainSpec, LatticeSpec, format_poset_text, generate_lattice
+
+    # A null pair is linearly related, with a zero step length.
+    lattice = generate_lattice(LatticeSpec(64, 64, (
+        LatticeChainSpec("D", 16, 1), LatticeChainSpec("F", 9, 4),
+    )))
+    source = tmp_path / "null.txt"
+    source.write_text(format_poset_text(lattice.poset, lattice.chains))
+    assert main(["relate", "--input", str(source), "--chains", "D", "F"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert all(part in captured.err for part in ("'D'", "'F'", "(2, 0)"))
 
 
 def test_quantify(capsys):

@@ -20,6 +20,27 @@ def test_two_chain_sweeps_catch_a_wrong_one_chain_pair(monkeypatch):
     assert verify._check_scalar_invariance(standard_lattice(12, 12)) != []
 
 
+def test_sign_preservation_catches_a_flipped_chain_pair(monkeypatch):
+    # On 12x12 the between sets of (P, R) and (Q, R) coincide, so every
+    # interval between them is quantified twice; flipping the sign of one
+    # pair's first component must surface in ``run_all``'s report.
+    original = verify.interval_pair_two_chains
+
+    def flipped(interval, p, q):
+        got = original(interval, p, q)
+        if (p.name, q.name) == ("Q", "R"):
+            return dataclasses.replace(got, first=-got.first)
+        return got
+
+    monkeypatch.setattr(verify, "interval_pair_two_chains", flipped)
+    lines = []
+    verify.run_all(report=lines.append)
+    failures = [line for line in lines if line.startswith("[FAIL] sign-preservation")]
+    assert len(failures) == 1
+    assert failures[0].startswith("[FAIL] sign-preservation: interval [")
+    assert "flips between chain pairs" in failures[0]
+
+
 def test_order_axioms_sweep_reports_a_doctored_closure():
     # Row 0 holds 1 but not 2, which row 1 holds; events 3 and 4 sit
     # above each other.
