@@ -4,7 +4,10 @@ These deliberately avoid the library's search code paths: projections are
 recomputed by linear scan over chain elements and, on lattices, from the
 closed-form coordinate bounds of the product order. The collinearity
 cases are spelled out from their definitions over the library's
-projections, apart from the library's encoding of them.
+projections, apart from the library's encoding of them. The three
+``*_sweep`` functions are the exhaustive per-pair and per-split sweeps
+that ``verify`` runs only to name violations; its reduced tests are
+checked against them.
 """
 from __future__ import annotations
 
@@ -12,12 +15,15 @@ from functools import partial
 
 from eventposet import (
     Chain,
+    ClosedInterval,
     CollinearityCase,
     Lattice,
     Poset,
     backward_project,
     forward_project,
+    verify,
 )
+from eventposet.poset import _iter_bits
 from eventposet.projection import _project_both_ways
 
 
@@ -108,3 +114,56 @@ def matching_cases(x: int, p_chain: Chain, q_chain: Chain) -> tuple[Collinearity
         (CollinearityCase.V, (Pb(qf) == pf, Qf(pf) == qf, Pb(qb) == pb, Qf(pb) == qb)),
     )
     return tuple(case for case, identities in blocks if all(identities))
+
+
+def order_axioms_sweep(poset: Poset) -> list[str]:
+    """Every transitivity and antisymmetry violation of the closure rows."""
+    above = [poset.above_bits(x) for x in poset.events()]
+    bad = []
+    for x, above_x in enumerate(above):
+        for y in _iter_bits(above_x):
+            if above[y] & ~above_x:
+                bad.append(f"transitivity broken at {x} <= {y}")
+            if y != x and above[y] >> x & 1:
+                bad.append(f"antisymmetry broken at {x}, {y}")
+    return bad
+
+
+def projection_monotone_sweep(poset: Poset, chains) -> list[str]:
+    """Every sandwich and monotonicity violation of the chains' projections."""
+    above = [poset.above_bits(x) for x in poset.events()]
+    bad = []
+    for chain in chains:
+        forwards = [forward_project(x, chain) for x in poset.events()]
+        backwards = [backward_project(x, chain) for x in poset.events()]
+        for x, above_x in enumerate(above):
+            fx, bx = forwards[x], backwards[x]
+            if fx is not None and bx is not None and not above[bx] >> fx & 1:
+                bad.append(f"projection sandwich broken at {x} on {chain.name!r}")
+            for y in _iter_bits(above_x):
+                fy, by = forwards[y], backwards[y]
+                if fx is not None and fy is not None and not above[fx] >> fy & 1:
+                    bad.append(f"forward monotonicity broken at {x} <= {y}")
+                if bx is not None and by is not None and not above[bx] >> by & 1:
+                    bad.append(f"backward monotonicity broken at {x} <= {y}")
+    return bad
+
+
+def length_additivity_sweep(chains) -> list[str]:
+    """Every split ``(i, j, k)`` whose lengths do not add.
+
+    Lengths come from ``verify.interval_length``, looked up per call, so a
+    replacement installed there is what both this sweep and ``verify`` see.
+    """
+    bad = []
+    for vc in chains:
+        n = len(vc)
+        for i in range(n):
+            for k in range(i, n):
+                whole = verify.interval_length(ClosedInterval(vc, i, k))
+                for j in range(i, k + 1):
+                    left = verify.interval_length(ClosedInterval(vc, i, j))
+                    right = verify.interval_length(ClosedInterval(vc, j, k))
+                    if left + right != whole:
+                        bad.append(f"additivity broken on {vc.name!r} at {i},{j},{k}")
+    return bad

@@ -1,7 +1,22 @@
 import dataclasses
+from fractions import Fraction
+from itertools import accumulate
 
-from eventposet import Chain, standard_lattice, verify
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
+from eventposet import (
+    Chain,
+    build_poset,
+    chain_poset,
+    make_valued_chain,
+    maximal_chains,
+    standard_lattice,
+    verify,
+)
 from eventposet.poset import Poset
+from eventposet.projection import _projection_table
 
 
 def test_two_chain_sweeps_catch_a_wrong_one_chain_pair(monkeypatch):
@@ -83,3 +98,176 @@ def test_collinearity_sweeps_report_a_doctored_table():
     table[x] = (CollinearityCase.I,)
     bad = verify._check_self_duality(lattice)
     assert f"event {x} flips from I to II under order reversal against P, Q" in bad
+
+
+@st.composite
+def _posets(draw):
+    # Relations respect a random order of the ids, so ids are not ranks.
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(n)))
+    event = st.integers(0, n - 1)
+    raw = draw(st.lists(st.tuples(event, event), max_size=3 * n))
+    return build_poset(n, [(ids[min(a, b)], ids[max(a, b)]) for a, b in raw if a != b])
+
+
+@st.composite
+def _doctored_orders(draw):
+    poset = draw(_posets())
+    n = poset.event_count
+    rows = [poset.above_bits(x) for x in poset.events()]
+    covers = list(poset.cover_edges()) if draw(st.booleans()) else []
+    event = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["flip", "cycle", "diagonal", "hint"]))
+        x, y = draw(event), draw(event)
+        if kind == "flip":
+            rows[x] ^= 1 << y
+        elif kind == "cycle":
+            rows[x] = rows[y] = rows[x] | rows[y]
+        elif kind == "diagonal":
+            rows[x] &= ~(1 << x)
+        else:
+            covers.append((x, y))
+    return Poset(n, rows, tuple(covers))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_doctored_orders())
+# A closed 2-cycle breaks only antisymmetry; a cover hint over a row that
+# misses an event above it breaks only transitivity.
+@example(Poset(2, [0b11, 0b11], ()))
+@example(Poset(3, [0b011, 0b110, 0b100], ((0, 1), (1, 2))))
+def test_order_axioms_match_the_reference_sweep(poset):
+    assert verify._check_order_axioms(poset) == oracles.order_axioms_sweep(poset)
+
+
+@st.composite
+def _doctored_projections(draw):
+    poset = draw(_posets())
+    n = poset.event_count
+    walks = maximal_chains(poset, seed=draw(st.integers(0, 5)), count=2)
+    chains = [Chain(poset, walk, f"W{i}") for i, walk in enumerate(walks)]
+    event = st.integers(0, n - 1)
+    for chain in chains:
+        forward, backward = (list(images) for images in _projection_table(chain))
+        off_chain = [e for e in poset.events() if chain.index_of(e) is None]
+        for _ in range(draw(st.integers(0, 2))):
+            images = draw(st.sampled_from([forward, backward]))
+            x = draw(event)
+            kind = draw(st.sampled_from(["none", "earlier", "off-chain"]))
+            if kind == "none":
+                images[x] = None
+            elif kind == "earlier":
+                i = len(chain) if images[x] is None else chain.index_of(images[x])
+                if i:
+                    images[x] = chain.elements[draw(st.integers(0, i - 1))]
+            elif off_chain:
+                images[x] = draw(st.sampled_from(off_chain))
+        object.__setattr__(chain, "_projections", (forward, backward))
+    if draw(st.booleans()):
+        # Rows doctored under the chains: the check reads the poset's rows.
+        rows = [poset.above_bits(x) for x in poset.events()]
+        rows[draw(event)] ^= 1 << draw(event)
+        poset = Poset(n, rows, poset.cover_edges())
+    return poset, chains
+
+
+@settings(max_examples=300, deadline=None)
+@given(_doctored_projections())
+def test_projection_monotonicity_matches_the_reference_sweep(data):
+    poset, chains = data
+    assert verify._check_projection_monotone(poset, chains) == (
+        oracles.projection_monotone_sweep(poset, chains)
+    )
+
+
+@st.composite
+def _lengths(draw):
+    chains = []
+    for name in ("A", "B")[: draw(st.integers(1, 2))]:
+        n = draw(st.integers(1, 7))
+        halves = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        values = [Fraction(h, 2) for h in accumulate(halves)]
+        chains.append(make_valued_chain(chain_poset(n), range(n), values, name))
+    kind = draw(st.sampled_from(["exact", "offset", "square", "float"]))
+    lo = draw(st.integers(0, 6))
+    hi = draw(st.integers(lo, 6))
+    offset = Fraction(draw(st.sampled_from([-2, -1, 1, 2])), 3)
+    original = verify.interval_length
+
+    def length(interval):
+        got = original(interval)
+        if kind == "offset" and (interval.lo_index, interval.hi_index) == (lo, hi):
+            return got + offset
+        if kind == "square":
+            return got * got
+        if kind == "float":
+            return float(got)
+        return got
+
+    return chains, length
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lengths())
+def test_length_additivity_matches_the_reference_sweep(data):
+    chains, length = data
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "interval_length", length)
+        assert verify._check_length_additivity(chains) == (
+            oracles.length_additivity_sweep(chains)
+        )
+
+
+def test_passing_inputs_never_reach_a_sweep(monkeypatch):
+    # The reduced tests decide every check on a valid 4096-event lattice:
+    # no sweep walks a row, and lengths are read at most three times per
+    # interval of each chain.
+    lattice = standard_lattice(64, 64)
+    calls = 0
+    original = verify.interval_length
+
+    def counted(interval):
+        nonlocal calls
+        calls += 1
+        return original(interval)
+
+    def no_sweep(mask):
+        raise AssertionError("a sweep ran on a passing input")
+
+    monkeypatch.setattr(verify, "_iter_bits", no_sweep)
+    monkeypatch.setattr(verify, "interval_length", counted)
+    chains = [vc.chain for vc in lattice.chains.values()]
+    assert len(chains) == 5
+    assert verify._check_order_axioms(lattice.poset) == []
+    assert verify._check_projection_monotone(lattice.poset, chains) == []
+    assert verify._check_length_additivity(lattice.chains.values()) == []
+    assert calls <= 3 * sum(len(vc) * (len(vc) + 1) // 2 for vc in lattice.chains.values())
+
+
+def _last_value_99(elements, values):
+    return elements, values[:-1] + ["99"]
+
+
+def _first_element_only(elements, values):
+    return elements[:1], values[:1]
+
+
+@pytest.mark.parametrize("doctor", [_last_value_99, _first_element_only])
+def test_text_roundtrip_compares_chain_data(monkeypatch, lattice12, doctor):
+    original = verify.format_poset_text
+
+    def doctored(poset, chains):
+        lines = original(poset, chains).splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith("chain P "):
+                elements, values = line.removeprefix("chain P ").split(" : ")
+                elements, values = doctor(elements.split(), values.split())
+                lines[i] = f"chain P {' '.join(elements)} : {' '.join(values)}"
+        return "\n".join(lines) + "\n"
+
+    assert verify._check_text_roundtrip(lattice12.poset, lattice12.chains) == []
+    monkeypatch.setattr(verify, "format_poset_text", doctored)
+    assert verify._check_text_roundtrip(lattice12.poset, lattice12.chains) == [
+        "chain 'P' changed across text round-trip"
+    ]
