@@ -16,7 +16,6 @@ so mutation requires a rebuild. A built poset is safe for concurrent reads.
 """
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -24,7 +23,7 @@ from .errors import CycleDetectedError, InvalidArgumentError, InvalidIdError
 
 EventId = int
 
-DEFAULT_MAX_EVENTS = 4096
+MAX_EVENTS = 4096
 
 _UNVISITED = -1
 _ON_STACK = -2
@@ -107,31 +106,21 @@ class Poset:
 
     def reverse(self) -> "Poset":
         """The dual poset, built from the flipped cover edges."""
-        return build_poset(
-            self._count, [(b, a) for a, b in self._covers], max_events=self._count
-        )
+        return build_poset(self._count, [(b, a) for a, b in self._covers])
 
     def __repr__(self) -> str:
         return f"Poset(events={self._count}, covers={len(self._covers)})"
 
 
-def _check_event_count(event_count: int, max_events: int = DEFAULT_MAX_EVENTS) -> None:
-    """Raise InvalidArgumentError unless ``max_events`` is an int >= 0 and
-    ``event_count`` an int in ``0..max_events``."""
-    if not _is_index(max_events, math.inf):
-        raise InvalidArgumentError(f"max_events {max_events!r} is not an int >= 0")
-    if not _is_index(event_count, max_events + 1):
+def _check_event_count(event_count: int) -> None:
+    """Raise InvalidArgumentError unless ``event_count`` is an int in ``0..MAX_EVENTS``."""
+    if not _is_index(event_count, MAX_EVENTS + 1):
         raise InvalidArgumentError(
-            f"event_count {event_count!r} is not an int in 0..{max_events}"
+            f"event_count {event_count!r} is not an int in 0..{MAX_EVENTS}"
         )
 
 
-def build_poset(
-    event_count: int,
-    relations: Iterable[tuple[EventId, EventId]],
-    *,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> Poset:
+def build_poset(event_count: int, relations: Iterable[tuple[EventId, EventId]]) -> Poset:
     """Build a poset from influence statements ``a -> b`` (a precedes b).
 
     Redundant and repeated relations are accepted silently. The stored
@@ -141,14 +130,13 @@ def build_poset(
     the stack from that event back to it is the witness.
 
     Raises:
-        InvalidArgumentError: ``max_events`` is not an int >= 0,
-            ``event_count`` is not an int in ``0..max_events``, or
-            ``relations`` is not an iterable of pairs.
+        InvalidArgumentError: ``event_count`` is not an int in
+            ``0..MAX_EVENTS``, or ``relations`` is not an iterable of pairs.
         InvalidIdError: an endpoint is not an int in ``0..event_count-1``.
         CycleDetectedError: the relations order some event before itself;
             the exception names a witness cycle.
     """
-    _check_event_count(event_count, max_events)
+    _check_event_count(event_count)
 
     adjacency: list[list[int]] = [[] for _ in range(event_count)]
     # Nothing in the loop body raises TypeError or ValueError: either comes

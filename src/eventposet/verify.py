@@ -43,7 +43,7 @@ from .intervals import (
     interval_pair_two_chains,
     pair,
 )
-from .poset import Poset, _is_index, _iter_bits
+from .poset import Poset, _is_index, _iter_bits, build_poset
 from .projection import (
     _projection_table,
     backward_project,
@@ -60,6 +60,7 @@ from .spacetime import (
     exact_sqrt,
     from_coords,
     lorentz_apply,
+    minkowski_form,
     subspace_projection,
     to_coords,
 )
@@ -160,48 +161,31 @@ def _check_order_axioms(poset: Poset) -> list[str]:
 def _is_partial_order(above: list[int], covers: Iterable[tuple[int, int]]) -> bool:
     """True only if the order-axiom sweep over the rows ``above`` finds nothing.
 
-    In a partial order an event's row is larger than the row of any other
-    event in it. So, listed by row size, largest first, rows holding no
-    event listed before their own are antisymmetric. Rows are then closed
-    from the last listed up: an event ``y`` left in row ``x`` was listed
-    after ``x``, so its row is already closed, and once ``above[y]`` is
-    tested inside row ``x`` no event of ``above[y]`` needs a test of its
-    own. Cover edges pick ``y`` first, so a row of a partial order takes
-    one test per upper cover; a pick is only a hint and is tested all the
-    same.
+    Listed by row size, largest first, rows holding no event listed before
+    their own are antisymmetric. Each row must then equal its event joined
+    with the rows of its cover hints ``(a, b)``, ``a != b``: so ``b``, in
+    ``above[b]`` and so in ``above[a]``, is listed after ``a``, and from the
+    last listed event up each row is its event plus closed rows, so closed.
+    The listing rules out hint cycles; self-loop hints would pass any row.
     """
     n = len(above)
     # Rows naming an event past the last one are left to the sweep.
     if any(row >> n for row in above):
         return False
-    order = sorted(range(n), key=lambda x: -above[x].bit_count())
     listed = 0
-    for x in order:
+    for x in sorted(range(n), key=lambda x: -above[x].bit_count()):
         if above[x] & listed:
             return False
         listed |= 1 << x
-    upper_covers: list[list[int]] = [[] for _ in range(n)]
+    joined = [1 << x for x in range(n)]
     for a, b in covers:
-        # Hints name events: anything else would index or shift wrongly.
-        if _is_index(a, n) and _is_index(b, n):
-            upper_covers[a].append(b)
-    for x in reversed(order):
-        row = above[x]
-        rest = row & ~(1 << x)
-        picks = upper_covers[x]
-        while rest:
-            y = picks.pop() if picks else (rest & -rest).bit_length() - 1
-            if not rest >> y & 1:
-                continue
-            if above[y] & ~row:
-                return False
-            rest &= ~(above[y] | 1 << y)
-    return True
+        # Hints that name no event, or name their own event, join nothing.
+        if _is_index(a, n) and _is_index(b, n) and a != b:
+            joined[a] |= above[b]
+    return joined == above
 
 
 def _check_reduction_roundtrip(poset: Poset) -> list[str]:
-    from .poset import build_poset
-
     rebuilt = build_poset(poset.event_count, poset.cover_edges())
     for x in poset.events():
         if rebuilt.above_bits(x) != poset.above_bits(x):
@@ -612,9 +596,8 @@ def _check_minkowski() -> list[str]:
             Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
             Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
         )
-        dt = (p.first + p.second) / 2
-        dx = (p.first - p.second) / 2
-        if p.first * p.second != dt * dt - dx * dx:
+        scalar, dt2, dx2 = minkowski_form(p)
+        if scalar != dt2 - dx2:
             bad.append(f"quadratic form identity broken for {p}")
         roundtrip = from_coords(to_coords(p))
         if (roundtrip.first, roundtrip.second) != (p.first, p.second):
@@ -741,10 +724,17 @@ def run_all(report: Callable[[str], None] = print) -> list[CheckResult]:
 
 
 def _run_checks(checks: list[tuple], report: Callable[[str], None]) -> list[CheckResult]:
-    """Run each ``(name, sweep, *args)`` row in order, one reported line each."""
+    """Run each ``(name, sweep, *args)`` row in order, one reported line each.
+
+    A row whose sweep raises an ``EventPosetError`` fails with its message,
+    and the rows after it still run.
+    """
     results = []
     for name, sweep, *args in checks:
-        violations = sweep(*args)
+        try:
+            violations = sweep(*args)
+        except EventPosetError as exc:
+            violations = [str(exc)]
         result = CheckResult(name, not violations, "; ".join(violations[:3]))
         results.append(result)
         status = "PASS" if result.passed else "FAIL"

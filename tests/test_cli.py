@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,22 @@ def test_export_geometric_to_file(tmp_path, capsys):
         "--out", str(target),
     ]) == 0
     assert target.read_text().startswith("graph chains {")
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    # Every ``eventposet ...`` line of README's CLI block, in order: ``dot``
+    # reads the file that ``build`` writes to the working directory.
+    readme = Path(__file__).parents[1] / "README.md"
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in readme.read_text().splitlines()
+        if line.startswith("eventposet ")
+    ]
+    assert len(commands) == 11
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_usage_error_exits_2():

@@ -161,7 +161,6 @@ def test_random_density_extremes():
     pytest.param(lambda: generate_random(0, 10, None), id="random-none-density"),
     pytest.param(lambda: maximal_chains(chain_poset(3), 0, "x"), id="walks-str-count"),
     pytest.param(lambda: maximal_chains(chain_poset(3), 0, -1), id="walks-negative-count"),
-    pytest.param(lambda: build_poset(3, [], max_events="x"), id="build-str-cap"),
     pytest.param(lambda: build_poset(3, [(0, 1, 2)]), id="build-triple-relation"),
     pytest.param(lambda: build_poset(3, [0]), id="build-int-relation"),
     pytest.param(lambda: build_poset(3, None), id="build-none-relations"),

@@ -80,7 +80,7 @@ def test_the_contract_check_reads_exception_factories():
 @pytest.mark.parametrize("call", [
     # The argument checks that raised a bare ValueError.
     pytest.param(lambda: eventposet.build_poset(-1, []), id="negative-count"),
-    pytest.param(lambda: eventposet.build_poset(5, [], max_events=4), id="count-over-cap"),
+    pytest.param(lambda: eventposet.build_poset(4097, []), id="count-over-cap"),
     pytest.param(lambda: eventposet.export_dot(eventposet.chain_poset(2), mode="x"),
                  id="export-mode"),
     pytest.param(lambda: eventposet.export_dot(eventposet.chain_poset(2), mode="geometric"),

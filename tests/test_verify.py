@@ -1,6 +1,6 @@
 import dataclasses
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +17,7 @@ from eventposet import (
 )
 from eventposet.poset import Poset
 from eventposet.projection import _projection_table
+from eventposet.spacetime import PairTransform
 
 
 def test_two_chain_sweeps_catch_a_wrong_one_chain_pair(monkeypatch):
@@ -134,9 +135,13 @@ def _doctored_orders(draw):
 @settings(max_examples=300, deadline=None)
 @given(_doctored_orders())
 # A closed 2-cycle breaks only antisymmetry; a cover hint over a row that
-# misses an event above it breaks only transitivity.
+# misses an event above it breaks only transitivity. Hinted to join to its
+# own rows, the 2-cycle is refused only by the listing; row 0 of the third
+# poset would equal its join if a self-loop hint were joined.
 @example(Poset(2, [0b11, 0b11], ()))
 @example(Poset(3, [0b011, 0b110, 0b100], ((0, 1), (1, 2))))
+@example(Poset(2, [0b11, 0b11], ((0, 1), (1, 0))))
+@example(Poset(3, [0b011, 0b110, 0b100], ((0, 0), (1, 2))))
 def test_order_axioms_match_the_reference_sweep(poset):
     assert verify._check_order_axioms(poset) == oracles.order_axioms_sweep(poset)
 
@@ -270,4 +275,116 @@ def test_text_roundtrip_compares_chain_data(monkeypatch, lattice12, doctor):
     monkeypatch.setattr(verify, "format_poset_text", doctored)
     assert verify._check_text_roundtrip(lattice12.poset, lattice12.chains) == [
         "chain 'P' changed across text round-trip"
+    ]
+
+
+def _run_all(report):
+    return verify.run_all(report=report)
+
+
+def _run_for(report):
+    lattice = standard_lattice(8, 8)
+    return verify.run_for(lattice.poset, lattice.chains, report=report)
+
+
+def _constant(value):
+    return lambda original: lambda *args: value
+
+
+def _varying(original):
+    values = count(1)
+    return lambda *args: Fraction(next(values))
+
+
+def _swapped_relation(original):
+    def swapped(*args):
+        got = original(*args)
+        return PairTransform(got.n, got.m)
+    return swapped
+
+
+def _swapped_composition(original):
+    return lambda t1, t2: PairTransform(t1.m * t2.n, t1.n * t2.m)
+
+
+def _wrong_dt2(original):
+    def wrong(p):
+        scalar, dt2, dx2 = original(p)
+        return scalar, dt2 + 1, dx2
+    return wrong
+
+
+def _first_plus_one(original):
+    def shifted(p, t):
+        got = original(p, t)
+        return dataclasses.replace(got, first=got.first + 1)
+    return shifted
+
+
+def _one_event_poset(original):
+    return lambda text: (chain_poset(1), {})
+
+
+def _empty_rows(original):
+    return lambda event_count, relations: Poset(event_count, [0] * event_count, ())
+
+
+# (check, primitive in verify's namespace, mutant of it, suite to run)
+_MUTANTS = [
+    ("coordination-rest-chains", "check_coordinated", _constant(False), _run_all),
+    ("linear-relation-detection", "detect_linear_relation", _swapped_relation, _run_all),
+    ("chain-distance-constancy", "chain_distance", _varying, _run_all),
+    ("simplex-equal-distances", "chain_separation", _varying, _run_all),
+    ("transform-layer", "compose_transforms", _swapped_composition, _run_all),
+    ("minkowski-identity", "minkowski_form", _wrong_dt2, _run_all),
+    ("subspace-projection", "subspace_projection", _constant(0), _run_all),
+    ("scalar-invariance", "apply_pair_transform", _first_plus_one, _run_all),
+    ("text-roundtrip", "parse_poset_text", _one_event_poset, _run_all),
+    ("projection-oracle", "brute_forward", _constant(None), _run_all),
+    ("projection-oracle", "brute_forward", _constant(None), _run_for),
+    ("reduction-roundtrip", "build_poset", _empty_rows, _run_all),
+]
+
+
+@pytest.mark.parametrize(
+    "name, attribute, mutant, run", _MUTANTS,
+    ids=[f"{name}-{run.__name__[1:]}" for name, _, _, run in _MUTANTS],
+)
+def test_every_check_can_fail(monkeypatch, name, attribute, mutant, run):
+    # One wrong primitive in verify's namespace must fail the check built on it.
+    monkeypatch.setattr(verify, attribute, mutant(getattr(verify, attribute)))
+    lines = []
+    run(lines.append)
+    assert any(line.startswith(f"[FAIL] {name}") for line in lines), lines
+
+
+def test_a_raising_check_fails_and_the_rest_still_run():
+    # The text format cannot carry the chain name "a b", so text-roundtrip
+    # raises a FormatError reparsing its own output.
+    p = chain_poset(3)
+    lines = []
+    results = verify.run_for(
+        p, {"a b": make_valued_chain(p, (0, 1, 2), (0, 1, 2), "a b")}, lines.append
+    )
+    assert lines == [
+        "[PASS] order-axioms",
+        "[PASS] reduction-roundtrip",
+        "[FAIL] text-roundtrip: line 4: 'b' is not an integer",
+        "[PASS] projection-oracle",
+        "[PASS] projection-monotonicity",
+        "[PASS] interval-length-additivity",
+    ]
+    assert [r.passed for r in results] == [True, True, False, True, True, True]
+
+
+def test_a_raising_check_does_not_stop_run_all(monkeypatch):
+    # A relation found where none exists makes scalar-invariance quantify
+    # S's events on a rest chain they do not project onto, which raises.
+    monkeypatch.setattr(verify, "detect_linear_relation", lambda s, p: PairTransform(1, 1))
+    lines = []
+    verify.run_all(report=lines.append)
+    assert len(lines) == 31
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] linear-relation-detection: S vs P: detected (1, 1), expected (4, 1)",
+        "[FAIL] scalar-invariance: event 0 is forward-only with respect to chain 'Q'",
     ]
