@@ -197,8 +197,9 @@ class Chain:
 class ValuedChain:
     """A chain together with an isotonic rational valuation.
 
-    The private field caches coordination outcomes against partner chains
-    (see :func:`eventposet.intervals._require_coordinated`). It takes no
+    The private field caches the one coordination proof per partner chain
+    and windows (see :func:`eventposet.structure._coordination_refusal`),
+    for every check of compatibility or coordination. It takes no
     part in equality, hashing or ``repr``, and copies and pickles start
     with an empty cache.
     """

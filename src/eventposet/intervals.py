@@ -22,14 +22,14 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .chains import IndexRange, ValuedChain, _cached_per_partner, _checked_window, as_fraction
+from .chains import IndexRange, ValuedChain, _checked_window, as_fraction
 from .errors import (
     BasisMismatchError,
     FloatRangeError,
+    InvalidArgumentError,
     MissingProjectionError,
     NoSharedEndpointError,
     NotBetweenError,
-    NotCompatibleError,
     NotCoordinatedError,
     OutOfRangeError,
     SideUnknownError,
@@ -39,10 +39,8 @@ from .projection import forward_project, quantify_event
 from .structure import (
     Betweenness,
     _collinearity_table,
-    _direction_maps,
-    _length_witness,
+    _coordination_refusal,
     _side,
-    check_coordinated,
 )
 
 
@@ -144,6 +142,8 @@ def pair(first, second) -> IntervalPair:
 
 
 def _on_p_side(side: Betweenness) -> bool:
+    if not isinstance(side, Betweenness):
+        raise InvalidArgumentError(f"endpoint side {side!r} is not a Betweenness")
     if side is Betweenness.NONE:
         raise SideUnknownError("endpoint side relative to the chain is unknown")
     return side is Betweenness.P_SIDE
@@ -158,9 +158,11 @@ def interval_pair_one_chain(
     """Quantify by a single chain, given each endpoint's side.
 
     Sides are betweenness values relative to (P, partner): P_SIDE means
-    the endpoint sits beyond P, anything else on the partner side. With
-    both endpoints on one side the pair is (forward length, backward
-    length); with the chain straddled the projections cross over.
+    the endpoint sits beyond P, BETWEEN and Q_SIDE on the partner side.
+    NONE raises SideUnknownError, and a value that is not a Betweenness
+    InvalidArgumentError. With both endpoints on one side the pair is
+    (forward length, backward length); with the chain straddled the
+    projections cross over.
     """
     fa, ba = quantify_event(interval.a, p)
     fb, bb = quantify_event(interval.b, p)
@@ -175,40 +177,17 @@ def interval_pair_one_chain(
 
 
 def _require_coordinated(
-    p: ValuedChain, q: ValuedChain, p_range: IndexRange, q_range: IndexRange
+    p: ValuedChain,
+    q: ValuedChain,
+    p_range: IndexRange | None,
+    q_range: IndexRange | None,
 ) -> None:
-    """Raise NotCoordinatedError unless ``p`` and ``q`` are coordinated
-    over the (checked) windows.
-
-    The outcome is cached on ``p`` per partner chain (held weakly) and
-    windows, so a pair is proved once.
-    """
-    refusal = _cached_per_partner(
-        p._coordinations,
-        q,
-        (p_range, q_range),
-        lambda: _coordination_refusal(p, q, p_range, q_range),
-    )
+    """Raise NotCoordinatedError, with the reason, unless ``p`` and ``q``
+    are coordinated over the windows by the cached proof of
+    :func:`eventposet.structure._coordination_refusal`."""
+    refusal = _coordination_refusal(p, q, p_range, q_range)
     if refusal is not None:
-        raise NotCoordinatedError(refusal)
-
-
-def _coordination_refusal(
-    p: ValuedChain, q: ValuedChain, p_range: IndexRange, q_range: IndexRange
-) -> str | None:
-    """Why the chains are not coordinated over the windows, or None."""
-    try:
-        if check_coordinated(p, q, p_range, q_range):
-            return None
-    except (MissingProjectionError, NotCompatibleError) as exc:
-        return str(exc)
-    # Only a refused pair, once per cache key, builds the maps again to
-    # name the step that broke.
-    witness = _length_witness(_direction_maps(p, q, p_range, q_range))
-    return (
-        f"chains {p.name!r} and {q.name!r} do not preserve projected "
-        f"interval lengths: {witness}"
-    )
+        raise NotCoordinatedError(refusal[1])
 
 
 def _require_between(x: EventId, p: ValuedChain, q: ValuedChain) -> None:
@@ -231,7 +210,7 @@ def _two_chain_images(
 
     The chains must be coordinated and the endpoints between them.
     """
-    _require_coordinated(p, q, _checked_window(p, None), _checked_window(q, None))
+    _require_coordinated(p, q, None, None)
     _require_between(interval.a, p, q)
     _require_between(interval.b, p, q)
     values = []

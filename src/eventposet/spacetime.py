@@ -292,11 +292,15 @@ def combine_projection_distances(d_xp, d_xq, d_yp, d_yq, d_pq):
     normalized by twice the inter-chain separation. Squares make the
     element-chain signs irrelevant; the separation enters by magnitude,
     so the result is oriented from the first chain toward the second.
+    Computed exactly; a float among the inputs rounds the result once.
     """
+    (d_xp, d_xq, d_yp, d_yq, d_pq), inexact = _exact(
+        *map(_component, (d_xp, d_xq, d_yp, d_yq, d_pq))
+    )
     if d_pq == 0:
         raise CoincidentChainsError("the chain pair has zero separation")
     numerator = (d_yp * d_yp - d_yq * d_yq) - (d_xp * d_xp - d_xq * d_xq)
-    return numerator / (2 * abs(d_pq))
+    return _rounded(numerator / (2 * abs(d_pq)), inexact)
 
 
 def subspace_projection(

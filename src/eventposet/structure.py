@@ -8,7 +8,9 @@ invariant under order reversal (proper collinearity) and read as "element
 on this side / between / on that side", which orders chains along an
 emergent spatial direction. Compatibility and coordination make two
 chains agree on each other's interval lengths, the analogue of observers
-at relative rest.
+at relative rest. One proof decides both (``_coordination_refusal``),
+cached per valued-chain pair and windows and read by every check of them,
+:mod:`.intervals` included, so a pair is proved once.
 
 All classification here is per element, from that element's own
 projections; twists hidden between an element's projections would only be
@@ -40,9 +42,11 @@ from .chains import (
 from .errors import (
     DegenerateTransformError,
     DifferentChainsError,
+    EventPosetError,
     MissingProjectionError,
     NotBetweenError,
     NotCompatibleError,
+    NotCoordinatedError,
     NotLinearlyRelatedError,
     NotProperlyCollinearError,
 )
@@ -310,65 +314,68 @@ def _window_map(
     return pairs
 
 
-def _bijective(pairs: list[tuple[int, int]]) -> bool:
-    """Domain contiguous and image indices advancing by exactly one."""
-    for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
-        if i2 != i1 + 1 or j2 != j1 + 1:
-            return False
-    return True
-
-
-def _direction_maps(
+def _coordination_refusal(
     p: ValuedChain,
     q: ValuedChain,
-    p_range: IndexRange,
-    q_range: IndexRange,
-) -> list[tuple[str, ValuedChain, ValuedChain, list[tuple[int, int]]]]:
-    """The four window-restricted projection maps between two chains, each
-    labelled with its direction (``forward P->Q`` and so on; P is the
-    first chain argument)."""
+    p_range: IndexRange | None,
+    q_range: IndexRange | None,
+) -> tuple[type[EventPosetError], str] | None:
+    """The one proof of coordination: why ``p`` and ``q`` are not
+    coordinated over the windows, as an error class and message, or None.
+
+    Windows (OutOfRangeError) and posets (DifferentChainsError) are checked
+    on every call; the outcome of :func:`_prove_coordination` is cached on
+    ``p`` per partner chain (held weakly) and windows.
+    """
+    p_range, q_range = _checked_window(p, p_range), _checked_window(q, q_range)
     _check_same_poset(p.chain, q.chain)
-    maps = []
+    return _cached_per_partner(
+        p._coordinations,
+        q,
+        (p_range, q_range),
+        lambda: _prove_coordination(p, q, p_range, q_range),
+    )
+
+
+def _prove_coordination(
+    p: ValuedChain, q: ValuedChain, p_range: IndexRange, q_range: IndexRange
+) -> tuple[type[EventPosetError], str] | None:
+    """One pass over the four window maps, forward and backward P->Q, then
+    Q->P: an empty map is a MissingProjectionError and one that skips an
+    index a NotCompatibleError. Once all four are bijective, the first unit
+    step whose projection changes its length is a NotCoordinatedError."""
+    witness = None
     for src, dst, src_range, dst_range, arrow in (
         (p, q, p_range, q_range, "P->Q"),
         (q, p, q_range, p_range, "Q->P"),
     ):
         for forward in (True, False):
             pairs = _window_map(src, dst, src_range, dst_range, forward)
-            label = f"{'forward' if forward else 'backward'} {arrow}"
-            maps.append((label, src, dst, pairs))
-    return maps
-
-
-def _compatible(maps) -> bool:
-    """Bijectivity test of :func:`check_compatible` over built maps."""
-    for _, src, dst, pairs in maps:
-        if not pairs:
-            raise MissingProjectionError(
-                f"chains {src.name!r} and {dst.name!r} share no projections "
-                "over the inspected ranges"
-            )
-        if not _bijective(pairs):
-            return False
-    return True
-
-
-def _length_witness(maps) -> str | None:
-    """The first unit step whose projection changes its length, or None.
-
-    Names the direction, the source and destination index pairs, and the
-    two unequal steps.
-    """
-    for label, src, dst, pairs in maps:
-        for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
-            src_step = src.values[i2] - src.values[i1]
-            dst_step = dst.values[j2] - dst.values[j1]
-            if src_step != dst_step:
-                return (
-                    f"the {label} projection maps indices ({i1}, {i2}) to "
-                    f"({j1}, {j2}), a step of {src_step} to one of {dst_step}"
+            if not pairs:
+                return MissingProjectionError, (
+                    f"chains {src.name!r} and {dst.name!r} share no projections "
+                    "over the inspected ranges"
                 )
-    return None
+            for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
+                if i2 != i1 + 1 or j2 != j1 + 1:
+                    return NotCompatibleError, (
+                        f"chains {p.name!r} and {q.name!r} are not compatible "
+                        "over the inspected ranges"
+                    )
+                src_step = src.values[i2] - src.values[i1]
+                dst_step = dst.values[j2] - dst.values[j1]
+                if witness is None and src_step != dst_step:
+                    witness = (
+                        f"the {'forward' if forward else 'backward'} {arrow} "
+                        f"projection maps indices ({i1}, {i2}) to ({j1}, {j2}), "
+                        f"a step of {src_step} to one of {dst_step}"
+                    )
+    if witness is None:
+        return None
+    return NotCoordinatedError, (
+        f"chains {p.name!r} and {q.name!r} do not preserve projected "
+        f"interval lengths: {witness}"
+    )
 
 
 def check_compatible(
@@ -387,9 +394,12 @@ def check_compatible(
     projections over the windows at all, and OutOfRangeError for a window
     that is not an index range of its chain.
     """
-    return _compatible(
-        _direction_maps(p, q, _checked_window(p, p_range), _checked_window(q, q_range))
-    )
+    refusal = _coordination_refusal(p, q, p_range, q_range)
+    if refusal is None or refusal[0] is NotCoordinatedError:
+        return True
+    if refusal[0] is MissingProjectionError:
+        raise MissingProjectionError(refusal[1])
+    return False
 
 
 def check_coordinated(
@@ -401,19 +411,19 @@ def check_coordinated(
     """Compatible, and projected closed intervals keep their lengths.
 
     Checking consecutive elements suffices: lengths are additive, so equal
-    unit steps imply equal lengths for every closed subinterval. This is
-    the uncached proof; the two-chain quantifications of
-    :mod:`eventposet.intervals` cache its outcome per valued-chain pair.
+    unit steps imply equal lengths for every closed subinterval. Raises
+    NotCompatibleError where :func:`check_compatible` returns False. The
+    proof, ``_coordination_refusal``, is cached per pair and windows and
+    shared with :func:`check_compatible` and :mod:`.intervals`.
     """
-    maps = _direction_maps(
-        p, q, _checked_window(p, p_range), _checked_window(q, q_range)
-    )
-    if not _compatible(maps):
-        raise NotCompatibleError(
-            f"chains {p.name!r} and {q.name!r} are not compatible over the "
-            "inspected ranges"
-        )
-    return _length_witness(maps) is None
+    refusal = _coordination_refusal(p, q, p_range, q_range)
+    if refusal is None:
+        return True
+    if refusal[0] is MissingProjectionError:
+        raise MissingProjectionError(refusal[1])
+    if refusal[0] is NotCompatibleError:
+        raise NotCompatibleError(refusal[1])
+    return False
 
 
 def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> PairTransform:

@@ -18,6 +18,7 @@ from eventposet import spacetime
 from eventposet import (
     FloatRangeError,
     GeneralizedInterval,
+    InvalidArgumentError,
     IntervalKind,
     IntervalPair,
     NotOrthogonalError,
@@ -26,6 +27,7 @@ from eventposet import (
     apply_pair_transform,
     chain_poset,
     classify_interval,
+    combine_projection_distances,
     decompose,
     distance_of_pair,
     from_coords,
@@ -268,3 +270,31 @@ def test_spherical_split_keeps_dr_squared_or_refuses(dt, dr, theta, phi):
         return
     assert t == dt
     _assert_squares_add_to_dr_squared(spatial, dr)
+
+
+def test_combined_projection_distances_of_rationals_are_exact():
+    value = combine_projection_distances(1, 2, 3, 4, 5)
+    assert value == Fraction(-2, 5) and type(value) is Fraction
+
+
+@pytest.mark.parametrize("args", [
+    (1, 2, 3, 4, math.nan),
+    (math.inf, 0, 0, 0, 1),
+    (1e200, 0, 0, 0, 1e-200),  # the exact result -5e599 is beyond the float range
+])
+def test_combined_projection_distances_refuse_what_floats_cannot_hold(args):
+    with pytest.raises(FloatRangeError):
+        combine_projection_distances(*args)
+
+
+def test_combined_projection_distances_refuse_a_non_number():
+    with pytest.raises(InvalidArgumentError):
+        combine_projection_distances(None, 0, 0, 0, 1)
+
+
+@settings(max_examples=300)
+@given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS.filter(bool))
+def test_combined_projection_distances_are_rounded_once(xp, xq, yp, yq, pq):
+    xp_, xq_, yp_, yq_, pq_ = map(Fraction, (xp, xq, yp, yq, pq))
+    exact = ((yp_ * yp_ - yq_ * yq_) - (xp_ * xp_ - xq_ * xq_)) / (2 * abs(pq_))
+    _assert_rounded_once(lambda: combine_projection_distances(xp, xq, yp, yq, pq), exact)

@@ -77,6 +77,14 @@ def test_the_contract_check_reads_exception_factories():
     assert all(_raised_class(module, t) is eventposet.FloatRangeError for t in targets)
 
 
+def _one_chain_with_side(side):
+    lattice = eventposet.standard_lattice(12, 12)
+    interval = eventposet.GeneralizedInterval(lattice.event(5, 3), lattice.event(6, 5))
+    return eventposet.interval_pair_one_chain(
+        interval, lattice.chains["P"], eventposet.Betweenness.P_SIDE, side
+    )
+
+
 @pytest.mark.parametrize("call", [
     # The argument checks that raised a bare ValueError.
     pytest.param(lambda: eventposet.build_poset(-1, []), id="negative-count"),
@@ -89,6 +97,9 @@ def test_the_contract_check_reads_exception_factories():
     pytest.param(lambda: eventposet.generate_simplex(0), id="simplex-spec"),
     pytest.param(lambda: eventposet.standard_lattice(4, 4).event(9, 0), id="lattice-event"),
     pytest.param(lambda: eventposet.generate_random(0, 5, 1.5), id="random-density"),
+    # A side that is not a Betweenness member was read as the partner side.
+    pytest.param(lambda: _one_chain_with_side(None), id="one-chain-side-none"),
+    pytest.param(lambda: _one_chain_with_side("P|x|Q"), id="one-chain-side-value"),
 ])
 def test_argument_checks_raise_invalid_argument_error(call):
     with pytest.raises(InvalidArgumentError):

@@ -10,6 +10,7 @@ from itertools import permutations
 
 import pytest
 
+from eventposet import structure
 from eventposet import (
     Betweenness,
     Chain,
@@ -278,9 +279,9 @@ def _outcome(check, *args):
 
 
 def test_coordinated_fails_exactly_where_compatibility_does(lattice8):
-    # check_coordinated runs the compatibility test on its own maps; it must
-    # raise NotCompatibleError where check_compatible returns False and
-    # MissingProjectionError where check_compatible raises it.
+    # check_coordinated and check_compatible read one cached proof; the
+    # former must raise NotCompatibleError where the latter returns False
+    # and MissingProjectionError where the latter raises it.
     expected = {
         True: (True, False),
         False: (NotCompatibleError,),
@@ -586,6 +587,54 @@ def test_cached_refusal_repeats_its_message(lattice12):
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert len(t._coordinations) == 1
+
+
+@pytest.fixture
+def map_builds(monkeypatch):
+    """The number of window maps structure builds while the test runs."""
+    builds = []
+    build = structure._window_map
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(structure, "_window_map", counted)
+    return builds
+
+
+def test_every_entry_point_shares_one_proof(lattice12, map_builds):
+    p, q = _rebuilt(lattice12.chains["P"]), _rebuilt(lattice12.chains["Q"])
+    interval = GeneralizedInterval(lattice12.event(4, 2), lattice12.event(5, 3))
+    assert check_coordinated(p, q)
+    chain_distance(p, q, p.elements[0], q.elements[0])
+    interval_pair_two_chains(interval, p, q)
+    assert check_compatible(p, q)
+    # The four maps of one pass: forward and backward, each way.
+    assert len(map_builds) == 4
+
+
+def test_a_refused_pair_is_proved_once(lattice12, map_builds):
+    p, q = _rebuilt(lattice12.chains["P"]), lattice12.chains["Q"]
+    doubled = q.revalued([2 * v for v in q.values])
+    interval = GeneralizedInterval(lattice12.event(4, 2), lattice12.event(5, 3))
+    messages = set()
+    for refused in (
+        lambda: chain_distance(p, doubled, p.elements[0], doubled.elements[0]),
+        lambda: interval_pair_two_chains(interval, p, doubled),
+        lambda: chain_distance(p, doubled, p.elements[0], doubled.elements[0]),
+    ):
+        with pytest.raises(NotCoordinatedError) as info:
+            refused()
+        messages.add(str(info.value))
+    assert not check_coordinated(p, doubled)
+    assert check_compatible(p, doubled)
+    assert messages == {
+        "chains 'P' and 'Q' do not preserve projected interval lengths: the "
+        "forward P->Q projection maps indices (0, 1) to (0, 1), a step of 1 "
+        "to one of 2"
+    }
+    assert len(map_builds) == 4
 
 
 def test_coordination_cache_leaves_chain_identity_alone(lattice12):
