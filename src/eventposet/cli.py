@@ -117,6 +117,12 @@ def _chain(chains: dict[str, ValuedChain], name: str) -> ValuedChain:
     return chains[name]
 
 
+def _chain_pair(args) -> tuple[ValuedChain, ValuedChain]:
+    """The two chains that ``--chains`` names, from the loaded poset."""
+    _, chains = _load(args)
+    return _chain(chains, args.chains[0]), _chain(chains, args.chains[1])
+
+
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="poset text file")
     parser.add_argument(
@@ -148,9 +154,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _, chains = _load(args)
-    p = _chain(chains, args.chains[0])
-    q = _chain(chains, args.chains[1])
+    p, q = _chain_pair(args)
     for event, matched in enumerate(_collinearity_table(p.chain, q.chain)):
         if matched is None:
             print(f"{event} - -")
@@ -162,9 +166,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_relate(args) -> int:
-    _, chains = _load(args)
-    s = _chain(chains, args.chains[0])
-    p = _chain(chains, args.chains[1])
+    s, p = _chain_pair(args)
     relation = detect_linear_relation(s, p)
     print(f"m = {relation.m}")
     print(f"n = {relation.n}")
@@ -186,9 +188,7 @@ def _print_pair_report(interval_pair) -> None:
 
 
 def _cmd_quantify(args) -> int:
-    _, chains = _load(args)
-    p = _chain(chains, args.chains[0])
-    q = _chain(chains, args.chains[1])
+    p, q = _chain_pair(args)
     interval = GeneralizedInterval(args.interval[0], args.interval[1])
     _print_pair_report(interval_pair_two_chains(interval, p, q))
     return 0
@@ -219,9 +219,7 @@ def _cmd_scalar(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    _, chains = _load(args)
-    p = _chain(chains, args.chains[0])
-    q = _chain(chains, args.chains[1])
+    p, q = _chain_pair(args)
     x, y = args.x, args.y
     value = subspace_projection(x, y, p, q)
     for event in (x, y):

@@ -144,16 +144,10 @@ def standard_lattice(u_max: int = 12, v_max: int = 12) -> Lattice:
         LatticeChainSpec("T", 1, 1, 4, 2),
         LatticeChainSpec("S", 4, 1, 0, 0),
     ]
-    kept = []
-    for c in candidates:
-        if c.u0 >= u_max or c.v0 >= v_max:
-            continue
-        second_u = c.u0 + c.du
-        second_v = c.v0 + c.dv
-        if second_u < u_max and second_v < v_max:
-            kept.append(c)
-    spec = LatticeSpec(u_max, v_max, tuple(kept))
-    return generate_lattice(spec)
+    # Steps are >= 0, so a chain whose second tick is inside the window
+    # starts inside it too.
+    kept = [c for c in candidates if c.u0 + c.du < u_max and c.v0 + c.dv < v_max]
+    return generate_lattice(LatticeSpec(u_max, v_max, tuple(kept)))
 
 
 def generate_simplex(n_chains: int) -> tuple[Poset, dict[str, ValuedChain]]:

@@ -31,11 +31,24 @@ class ProjectionCase(Enum):
     D_BOTH = "both"
 
 
+_CASE_OF_PRESENCE = {
+    (False, False): ProjectionCase.A_INCOMPARABLE,
+    (False, True): ProjectionCase.B_BACKWARD_ONLY,
+    (True, False): ProjectionCase.C_FORWARD_ONLY,
+    (True, True): ProjectionCase.D_BOTH,
+}
+
+
 @dataclass(frozen=True, slots=True)
 class ProjectionOutcome:
-    case: ProjectionCase
+    """The two projections of an event, None where absent; ``case`` follows from them."""
+
     forward: EventId | None
     backward: EventId | None
+
+    @property
+    def case(self) -> ProjectionCase:
+        return _CASE_OF_PRESENCE[self.forward is not None, self.backward is not None]
 
 
 _Table = tuple[list[EventId | None], list[EventId | None]]
@@ -89,22 +102,14 @@ def backward_project(x: EventId, chain: Chain) -> EventId | None:
     return _projection_table(chain)[1][x]
 
 
-_CASE_OF_PRESENCE = {
-    (False, False): ProjectionCase.A_INCOMPARABLE,
-    (False, True): ProjectionCase.B_BACKWARD_ONLY,
-    (True, False): ProjectionCase.C_FORWARD_ONLY,
-    (True, True): ProjectionCase.D_BOTH,
-}
-
-
 def classify_projection(x: EventId, chain: Chain) -> ProjectionOutcome:
-    """Combine both projections into the four-way case classification."""
+    """Both projections of ``x``; the outcome's ``case`` is the four-way
+    classification they imply."""
     # Checked before the table is read: ``forward[-1]`` or ``forward[True]``
     # would be another event's projection.
     chain.poset.check_id(x)
     forward, backward = _projection_table(chain)
-    f, b = forward[x], backward[x]
-    return ProjectionOutcome(_CASE_OF_PRESENCE[f is not None, b is not None], f, b)
+    return ProjectionOutcome(forward[x], backward[x])
 
 
 def _project_both_ways(x: EventId, chain: Chain) -> tuple[EventId, EventId]:
@@ -117,7 +122,7 @@ def _project_both_ways(x: EventId, chain: Chain) -> tuple[EventId, EventId]:
     table = _projection_table(chain)
     forward, backward = table[0][x], table[1][x]
     if forward is None or backward is None:
-        case = _CASE_OF_PRESENCE[forward is not None, backward is not None]
+        case = ProjectionOutcome(forward, backward).case
         raise NotQuantifiableError(
             f"event {x} is {case.value} with respect to chain {chain.name!r}"
         )

@@ -137,7 +137,9 @@ def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
     """Rescale components by sqrt(m/n) and sqrt(n/m).
 
     The reciprocal factors preserve the interval scalar: exactly when m/n
-    is a rational square, to 1e-12 otherwise.
+    is a rational square, to 1e-12 otherwise. The result keeps the basis
+    but names no chains: the source chains did not quantify it, so it
+    joins other transported pairs but not the pairs of those chains.
     """
     factor = _sqrt(t.m / t.n)
     # Each component is rounded only if it or the factor is a float.
@@ -147,7 +149,6 @@ def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
         _rounded(first * exact_factor, first_inexact),
         _rounded(second / exact_factor, second_inexact),
         p.basis,
-        p.chains,
     )
 
 

@@ -31,6 +31,8 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
             continue
         tokens = line.split()
         keyword = tokens[0]
+        if keyword in ("rel", "chain") and event_count is None:
+            raise FormatError(f"line {lineno}: {keyword!r} before 'events' header")
         if keyword == "events":
             if event_count is not None:
                 raise FormatError(f"line {lineno}: duplicate events header")
@@ -42,14 +44,10 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from None
         elif keyword == "rel":
-            if event_count is None:
-                raise FormatError(f"line {lineno}: 'rel' before 'events' header")
             if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: expected 'rel A B'")
             relations.append((_parse_int(tokens[1], lineno), _parse_int(tokens[2], lineno)))
         elif keyword == "chain":
-            if event_count is None:
-                raise FormatError(f"line {lineno}: 'chain' before 'events' header")
             if len(tokens) < 4 or ":" not in tokens:
                 raise FormatError(
                     f"line {lineno}: expected 'chain NAME e1 ... : v1 ...'"

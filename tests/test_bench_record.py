@@ -114,3 +114,15 @@ def test_record_refuses_two_checkouts_of_one_tree(bench_record, checkout, tmp_pa
         {"label": label, "commit": commit, "tree": "f" * 40, "environment": {}, "runs": []}))
     with pytest.raises(SystemExit, match="not this checkout's tree"):
         bench_record.main(["--checkout", str(checkout), *argv])
+
+
+def test_record_creates_a_missing_out_dir(bench_record, checkout, tmp_path, monkeypatch):
+    run = {"workload": "cli-oneshot", "seed": 1, "trace": 0, "correct": True,
+           "attempted": 1, "failed": 0, "metrics": {"op_p90_ms": 1.0}}
+    monkeypatch.setattr(bench_record, "run_once", lambda *a: dict(run))
+    out_dir = tmp_path / "missing" / "nested"
+    argv = ["--checkout", str(checkout), "--workload", "cli-oneshot", "--seed", "1",
+            "--out-dir", str(out_dir)]
+    assert bench_record.main(argv) == 0
+    (path,) = out_dir.glob("BENCH_*.json")
+    assert json.loads(path.read_text())["runs"] == [run]

@@ -37,6 +37,11 @@ def test_not_isotonic():
         make_valued_chain(chain_poset(2), (0, 1), (1, 0))
 
 
+def test_values_must_match_elements():
+    with pytest.raises(NotIsotonicError, match="^2 values for 3 chain elements$"):
+        make_valued_chain(chain_poset(3), (0, 1, 2), (0, 1))
+
+
 def test_not_a_chain_incomparable():
     poset = build_poset(3, [(0, 1)])
     with pytest.raises(NotAChainError):

@@ -145,6 +145,15 @@ def test_scalar_accepts_negative_fractions(capsys):
     assert "sigma = 3/2i" in out
 
 
+def test_dot_notes_an_extrapolated_endpoint(capsys):
+    # 79 = (6, 7) lies beyond P, outside the P-Q slab.
+    assert main(["dot", "--gen", "lattice:12,12", "--x", "48", "--y", "79", "--chains", "P", "Q"]) == 0
+    assert capsys.readouterr().out == (
+        "note: endpoint 79 is outside the chain slab (extrapolated)\n"
+        "projection = -5/2\n"
+    )
+
+
 def test_dot_with_generated_lattice(tmp_path, capsys):
     from eventposet import format_poset_text
     from eventposet.verify import projection_lattice
@@ -218,12 +227,16 @@ BAD_INPUTS = [
     ("gen-lattice-zero", ["project", "--gen", "lattice:0,3", "--chain", "P"], None, 2),
     ("gen-over-cap", ["build", "--gen", "random:1,5000,0.1"], None, 2),
     ("gen-negative", ["build", "--gen", "simplex:-1"], None, 2),
+    ("gen-simplex-two-params", ["build", "--gen", "simplex:1,2"], None, 2),
+    ("gen-random-two-params", ["build", "--gen", "random:1,2"], None, 2),
     ("m-not-rational", ["transform", "--m", "abc", "--n", "1", "--pair", "1", "1"], None, 2),
     ("m-zero-denominator", ["transform", "--m", "1/0", "--n", "1", "--pair", "1", "1"], None, 2),
     ("pair-not-rational", ["scalar", "--pair", "1", "x"], None, 2),
     ("input-missing", ["build", "--input", "FILE"], None, 2),
     ("header-negative", ["build", "--input", "FILE"], "events -1\n", 1),
     ("header-over-cap", ["build", "--input", "FILE"], "events 5000\n", 1),
+    ("rel-before-header", ["build", "--input", "FILE"], "rel 0 1\nevents 2\n", 1),
+    ("chain-before-header", ["build", "--input", "FILE"], "chain P 0 : 0\nevents 2\n", 1),
 ]
 
 
@@ -243,6 +256,21 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, text, code):
     else:
         assert main(argv) == 1
         assert "error: line 1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keyword, line", [("rel", "rel 0 1"), ("chain", "chain P 0 : 0")])
+def test_keyword_before_header_names_it(tmp_path, capsys, keyword, line):
+    path = tmp_path / "poset.txt"
+    path.write_text(f"{line}\nevents 2\n")
+    assert main(["build", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: line 1: '{keyword}' before 'events' header\n"
+
+
+def test_out_onto_a_directory_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--gen", "simplex:2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "cannot write --out" in capsys.readouterr().err
 
 
 def test_closed_pipe_exits_1_without_traceback():

@@ -81,6 +81,18 @@ def test_forward_only_event_not_quantifiable():
         quantify_event(3, vc)
 
 
+@pytest.mark.parametrize("event, case", [
+    (0, "forward-only"), (143, "backward-only"), (11, "incomparable"),
+])
+def test_unquantifiable_event_names_its_case(lattice12, event, case):
+    # 0 = (0, 0) lies below Q's start, 143 = (11, 11) above its end and
+    # 11 = (0, 11) beside it.
+    message = f"event {event} is {case} with respect to chain 'Q'"
+    with pytest.raises(NotQuantifiableError) as exc:
+        quantify_event(event, lattice12.chains["Q"])
+    assert str(exc.value) == message
+
+
 def test_case_d_sandwich(lattice12):
     poset = lattice12.poset
     for vc in lattice12.chains.values():

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eventposet import (
+    BasisMismatchError,
     Character,
     CoincidentChainsError,
     DegenerateTransformError,
     EventPosetError,
     FloatRangeError,
+    GeneralizedInterval,
     MissingProjectionError,
     NotOrthogonalError,
     OutOfRangeError,
@@ -29,7 +31,9 @@ from eventposet import (
     gamma,
     generate_random,
     generate_simplex,
+    interval_pair_two_chains,
     interval_scalar,
+    join_intervals,
     lorentz_apply,
     lorentz_matrix,
     make_valued_chain,
@@ -110,6 +114,23 @@ def test_pair_transform_float_path():
     moved = apply_pair_transform(pair(3, 2), t)
     assert isinstance(moved.first, float)
     assert math.isclose(moved.first * moved.second, 6.0, rel_tol=1e-12)
+
+
+def test_transported_pair_names_no_chains(lattice12):
+    # The (P, Q) pair moved by (4, 1) is no longer P and Q's quantification,
+    # so it must not add to an unmoved (P, Q) pair; two moved pairs still add.
+    p, q = lattice12.chains["P"], lattice12.chains["Q"]
+    first, second = GeneralizedInterval(37, 50), GeneralizedInterval(50, 63)
+    first_pair = interval_pair_two_chains(first, p, q)
+    second_pair = interval_pair_two_chains(second, p, q)
+    assert (first_pair.first, first_pair.second) == (second_pair.first, second_pair.second) == (1, 1)
+    moved = apply_pair_transform(first_pair, T41)
+    assert (moved.first, moved.second, moved.chains) == (2, Fraction(1, 2), ())
+    assert moved.basis is first_pair.basis
+    with pytest.raises(BasisMismatchError):
+        join_intervals(first, moved, second, second_pair)
+    _, joined = join_intervals(first, moved, second, apply_pair_transform(second_pair, T41))
+    assert (joined.first, joined.second) == (4, 1)
 
 
 def test_degenerate_transform_rejected():

@@ -6,9 +6,10 @@
 
 Recording runs ``perfbench/run.py`` inside each checkout, once per workload,
 seed and checkout, for the ``run_seconds`` that ``BENCHMARK.json`` sets,
-and appends each run to ``BENCH_<label>.json`` in ``--out-dir``. The label
-names the tree that was measured: the checkout's short commit when its
-files match that commit, else ``<commit>+<tree>``, where ``<tree>`` starts
+and appends each run to ``BENCH_<label>.json`` in ``--out-dir``, which is
+created if missing. The label names the tree that was measured: the
+checkout's short commit when its files match that commit, else
+``<commit>+<tree>``, where ``<tree>`` starts
 the git tree id of its files, untracked ones included and ignored ones
 left out. With several checkouts, the runs of one workload and seed follow
 each other, and the checkout that runs first rotates from seed to seed,
@@ -106,6 +107,7 @@ def record(args) -> int:
             sys.exit(f"error: {targets[path][0]} and {checkout} hold the same tree; "
                      f"both would record to {path.name}")
         targets[path] = (checkout, load_record(path, commit, tree, label))
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     order = list(targets.items())
     for workload in args.workload:
         for turn, seed in enumerate(args.seed):
