@@ -91,6 +91,15 @@ def _parse_rational(token: str) -> Fraction:
         raise FormatError(f"{token!r} is not a rational") from None
 
 
+def _as_tuple(items, what: str) -> tuple:
+    """``items`` as a tuple; InvalidArgumentError names ``what`` unless it
+    is iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} {items!r} are not iterable") from None
+
+
 def _cached_per_partner(
     cache: dict, partner: object, key: tuple, compute: Callable[[], _T]
 ) -> _T:
@@ -140,6 +149,10 @@ def _check_index_range(chain: Chain | ValuedChain, lo: int, hi: int, window=None
 class Chain:
     """Strictly increasing, non-empty run of events in a poset.
 
+    ``elements`` may be any iterable; it is kept as a tuple. None or no
+    elements raise NotAChainError, and a value that is not iterable
+    InvalidArgumentError.
+
     The private fields are caches: the position of each element, the
     projection table that :mod:`eventposet.projection` builds on first use,
     and the collinearity table against each partner chain that
@@ -158,9 +171,9 @@ class Chain:
     )
 
     def __post_init__(self):
+        object.__setattr__(self, "elements", _as_tuple(self.elements or (), "chain elements"))
         if not self.elements:
             raise NotAChainError("a chain needs at least one element")
-        object.__setattr__(self, "elements", tuple(self.elements))
         for event in self.elements:
             self.poset.check_id(event)
         for i in range(len(self.elements) - 1):
@@ -197,6 +210,9 @@ class Chain:
 class ValuedChain:
     """A chain together with an isotonic rational valuation.
 
+    ``values`` may be any iterable; each value is read by
+    :func:`as_fraction`.
+
     The private field caches the one coordination proof per partner chain
     and windows (see :func:`eventposet.structure._coordination_refusal`),
     for every check of compatibility or coordination. It takes no
@@ -211,7 +227,7 @@ class ValuedChain:
     )
 
     def __post_init__(self):
-        values = tuple(as_fraction(v) for v in self.values)
+        values = tuple(map(as_fraction, _as_tuple(self.values, "chain values")))
         object.__setattr__(self, "values", values)
         if len(values) != len(self.chain):
             raise NotIsotonicError(
@@ -256,7 +272,7 @@ class ValuedChain:
 
     def revalued(self, values: Sequence[RationalLike]) -> "ValuedChain":
         """Same elements under a different valuation."""
-        return ValuedChain(self.chain, tuple(as_fraction(v) for v in values))
+        return ValuedChain(self.chain, values)
 
 
 def make_valued_chain(
@@ -265,12 +281,13 @@ def make_valued_chain(
     values: Sequence[RationalLike],
     name: str = "",
 ) -> ValuedChain:
-    """Validate and assemble a valued chain.
+    """Validate and assemble a valued chain; the constructors normalize
+    ``elements`` and ``values``.
 
     Raises NotAChainError if consecutive elements are out of order or
     incomparable, NotIsotonicError if the values ever decrease.
     """
-    return ValuedChain(Chain(poset, tuple(elements), name), tuple(values))
+    return ValuedChain(Chain(poset, elements, name), values)
 
 
 @dataclass(frozen=True)

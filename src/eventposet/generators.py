@@ -18,7 +18,7 @@ import math
 import numbers
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .chains import ValuedChain, make_valued_chain
 from .errors import ChainEscapesWindowError, EmptyWindowError, InvalidArgumentError
@@ -48,6 +48,15 @@ class LatticeChainSpec:
 
 @dataclass(frozen=True)
 class LatticeSpec:
+    """A ``u_max`` x ``v_max`` window and the chains to lay in it.
+
+    Checked when built: the chains must be LatticeChainSpecs with distinct
+    names, and the sizes ints with at least one event (EmptyWindowError)
+    and at most :data:`~eventposet.poset.MAX_EVENTS` of them
+    (InvalidArgumentError otherwise). Where each chain starts is checked
+    by :func:`generate_lattice`.
+    """
+
     u_max: int
     v_max: int
     chains: tuple[LatticeChainSpec, ...] = ()
@@ -62,6 +71,11 @@ class LatticeSpec:
         for name in names:
             if names.count(name) > 1:
                 raise InvalidArgumentError(f"duplicate chain name {name!r}")
+        if not (_is_index(self.u_max, math.inf) and _is_index(self.v_max, math.inf)):
+            raise InvalidArgumentError(f"window sizes {self.u_max!r}x{self.v_max!r} are not ints >= 0")
+        if self.u_max < 1 or self.v_max < 1:
+            raise EmptyWindowError(f"window {self.u_max}x{self.v_max} has no events")
+        _check_event_count(self.u_max * self.v_max)
 
 
 @dataclass(frozen=True)
@@ -86,15 +100,11 @@ class Lattice:
 def generate_lattice(spec: LatticeSpec) -> Lattice:
     """Product-order window poset with one valued chain per chain spec.
 
-    Chain elements are emitted tick by tick until the window edge; the
-    valuation is the tick index, one unit per tick.
+    The spec's window was checked when the spec was built; here each
+    chain must start inside it (ChainEscapesWindowError otherwise). Chain
+    elements are emitted tick by tick until the window edge; the valuation
+    is the tick index, one unit per tick.
     """
-    if not (_is_index(spec.u_max, math.inf) and _is_index(spec.v_max, math.inf)):
-        raise InvalidArgumentError(f"window sizes {spec.u_max!r}x{spec.v_max!r} are not ints >= 0")
-    if spec.u_max < 1 or spec.v_max < 1:
-        raise EmptyWindowError(f"window {spec.u_max}x{spec.v_max} has no events")
-    _check_event_count(spec.u_max * spec.v_max)
-
     relations = []
     for u in range(spec.u_max):
         for v in range(spec.v_max):
@@ -144,10 +154,11 @@ def standard_lattice(u_max: int = 12, v_max: int = 12) -> Lattice:
         LatticeChainSpec("T", 1, 1, 4, 2),
         LatticeChainSpec("S", 4, 1, 0, 0),
     ]
+    window = LatticeSpec(u_max, v_max)
     # Steps are >= 0, so a chain whose second tick is inside the window
     # starts inside it too.
     kept = [c for c in candidates if c.u0 + c.du < u_max and c.v0 + c.dv < v_max]
-    return generate_lattice(LatticeSpec(u_max, v_max, tuple(kept)))
+    return generate_lattice(replace(window, chains=kept))
 
 
 def generate_simplex(n_chains: int) -> tuple[Poset, dict[str, ValuedChain]]:

@@ -193,5 +193,9 @@ def build_poset(event_count: int, relations: Iterable[tuple[EventId, EventId]]) 
 
 
 def chain_poset(length: int) -> Poset:
-    """Total order on ``length`` events, a convenience for tests and demos."""
+    """Total order on ``length`` events, a convenience for tests and demos.
+
+    ``length`` is checked before any relation is built.
+    """
+    _check_event_count(length)
     return build_poset(length, [(i, i + 1) for i in range(length - 1)])

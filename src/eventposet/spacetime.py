@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chains import ValuedChain
+from .chains import RationalLike, ValuedChain, as_fraction
 from .errors import (
     CoincidentChainsError,
     FloatRangeError,
+    InvalidArgumentError,
     NotOrthogonalError,
     OutOfRangeError,
 )
@@ -87,8 +88,13 @@ class SpacetimeCoords:
         object.__setattr__(self, "dx", _component(self.dx))
 
 
-def exact_sqrt(value: Fraction) -> Fraction | None:
-    """Exact rational square root, or None when irrational or negative."""
+def exact_sqrt(value: RationalLike) -> Fraction | None:
+    """Exact rational square root, or None when irrational or negative.
+
+    ``value`` is read by :func:`~.chains.as_fraction`, as every rational
+    argument is: ``exact_sqrt(2.25)`` and ``exact_sqrt("9/4")`` are 3/2.
+    """
+    value = as_fraction(value)
     if value < 0:
         return None
     num, den = value.numerator, value.denominator
@@ -232,7 +238,8 @@ def spherical_decompose(
     spatial squares add to dr^2, so the scalar dt^2 - dr^2 is dt^2 minus
     their sum; the rounded components are checked to add to dr^2 within
     1e-12 of it (NotOrthogonalError otherwise). An angle that is infinite,
-    NaN or too large for a float raises FloatRangeError.
+    NaN or too large for a float raises FloatRangeError, and one that is
+    not a real number, such as None or a string, InvalidArgumentError.
     """
     dt, dr = _component(dt), _component(dr)
     for angle in (theta, phi):
@@ -240,6 +247,8 @@ def spherical_decompose(
             finite = math.isfinite(angle)
         except OverflowError:  # an int or Fraction beyond the float range
             raise FloatRangeError("angle is outside the float range") from None
+        except TypeError:
+            raise InvalidArgumentError(f"angle {angle!r} is not a real number") from None
         if not finite:
             raise FloatRangeError(f"angle {angle} is not a finite number")
     (r, sin_t, cos_t, sin_p, cos_p), _ = _exact(

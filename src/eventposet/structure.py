@@ -110,6 +110,9 @@ class PairTransform:
     def inverse(self) -> "PairTransform":
         return PairTransform(self.n, self.m)
 
+    def __str__(self) -> str:
+        return f"({self.m}, {self.n})"
+
 
 # The five identity blocks. Slots 0..3 stand for the four direct
 # projections of an event x: onto P forward, P backward, Q forward and Q
@@ -229,24 +232,21 @@ def chain_properly_collinear(x_chain: Chain, p_chain: Chain, q_chain: Chain) -> 
     Every element of ``x_chain`` must be properly collinear with (P, Q),
     and its projections must cover, without gaps, the stretch of each
     chain between the lowest backward image and the highest forward image.
+    Each element's case is read by :func:`collinearity_case` before any
+    answer, so NotQuantifiableError names the first element, in chain
+    order, without its projections onto P, then onto Q.
     """
     _check_same_poset(x_chain, p_chain)
-    # Extremal projections must exist; monotonicity then covers the rest.
-    _project_both_ways(x_chain.elements[0], p_chain)
-    _project_both_ways(x_chain.elements[-1], p_chain)
-    _project_both_ways(x_chain.elements[0], q_chain)
-    _project_both_ways(x_chain.elements[-1], q_chain)
-
-    if not all(is_properly_collinear(x, p_chain, q_chain) for x in x_chain.elements):
+    cases = [collinearity_case(x, p_chain, q_chain) for x in x_chain.elements]
+    if not all(case in _BETWEENNESS_OF_CASE for case in cases):
         return False
     for target in (p_chain, q_chain):
-        touched: set[int] = set()
-        for x in x_chain.elements:
-            fwd, bwd = _project_both_ways(x, target)
-            touched.add(target.index_of(fwd))
-            touched.add(target.index_of(bwd))
-        span = range(min(touched), max(touched) + 1)
-        if any(i not in touched for i in span):
+        touched = {
+            target.index_of(image)
+            for x in x_chain.elements
+            for image in _project_both_ways(x, target)
+        }
+        if len(touched) != max(touched) - min(touched) + 1:
             return False
     return True
 

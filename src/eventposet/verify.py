@@ -138,6 +138,11 @@ def _rest_pairs(lattice: Lattice) -> Iterator[tuple[str, str, ValuedChain, Value
         yield a, b, rest[a], rest[b]
 
 
+def _listed(values: Iterable) -> str:
+    """``values`` as the CLI prints them: ``[1, 3/2]``, not Fraction reprs."""
+    return f"[{', '.join(map(str, values))}]"
+
+
 # ---------------------------------------------------------------------------
 # Individual checks. Each returns a list of violation strings.
 
@@ -431,7 +436,7 @@ def _check_distance_constancy(lattice: Lattice) -> list[str]:
                 except OutOfRangeError:
                     continue
         if len(seen) > 1:
-            bad.append(f"distance between {a}, {b} varies: {sorted(seen)}")
+            bad.append(f"distance between {a}, {b} varies: {_listed(sorted(seen))}")
         if not seen:
             bad.append(f"distance between {a}, {b} never defined")
     return bad
@@ -552,9 +557,9 @@ def _check_simplex() -> list[str]:
             except MissingProjectionError:
                 bad.append(f"simplex N={n}: no distance between {a}, {b}")
         if len(magnitudes) != 1:
-            bad.append(f"simplex N={n}: unequal distances {sorted(magnitudes)}")
+            bad.append(f"simplex N={n}: unequal distances {_listed(sorted(magnitudes))}")
         elif n == 3 and magnitudes != {Fraction(1)}:
-            bad.append(f"simplex N=3: distance {magnitudes} instead of 1")
+            bad.append(f"simplex N=3: distance {min(magnitudes)} instead of 1")
     return bad
 
 

@@ -126,3 +126,18 @@ def test_record_creates_a_missing_out_dir(bench_record, checkout, tmp_path, monk
     assert bench_record.main(argv) == 0
     (path,) = out_dir.glob("BENCH_*.json")
     assert json.loads(path.read_text())["runs"] == [run]
+
+
+def test_compare_refuses_records_without_a_shared_run(bench_record, tmp_path, capsys):
+    # Seeds 1 and 2 against 3 and 4: no run of B has a partner in A.
+    paths = []
+    for name, rec in (("A", _record("abc1234", {1: (100, 10), 2: (100, 10)})),
+                      ("B", _record("def5678", {3: (100, 10), 4: (100, 10)}))):
+        paths.append(tmp_path / f"BENCH_{name}.json")
+        paths[-1].write_text(json.dumps(rec))
+    assert bench_record.main(["--compare", *map(str, paths)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: abc1234 and def5678 share no run of one workload, trace mode and seed\n"
+    )

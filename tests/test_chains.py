@@ -194,3 +194,15 @@ def test_projection_table_leaves_chain_identity_alone():
     for chain in (with_table, without_table):
         with pytest.raises(DifferentChainsError):
             ValuedChain(chain, (0, 1, 2, 3)).value_of(1)
+
+
+def test_chain_normalizes_its_elements_before_the_empty_test():
+    poset = chain_poset(3)
+    with pytest.raises(NotAChainError, match="at least one element"):
+        Chain(poset, iter([]))
+    with pytest.raises(NotAChainError, match="at least one element"):
+        Chain(poset, None)
+    assert Chain(poset, iter([0, 2])).elements == (0, 2)
+    vc = make_valued_chain(poset, (e for e in (0, 1)), (v for v in ("1/2", 1)))
+    assert (vc.elements, vc.values) == ((0, 1), (Fraction(1, 2), Fraction(1)))
+    assert vc.revalued(iter(["3/2", 2])).values == (Fraction(3, 2), Fraction(2))

@@ -339,3 +339,23 @@ def test_random_draws_once_per_relation(recorded):
     # A per-pair loop would draw N(N-1)/2 = 523776 times here.
     rng, relations = recorded(1, 1024, 0.01)
     assert rng.draws <= len(relations) + 1
+
+
+@pytest.mark.parametrize("u_max, v_max, error, message", [
+    (0, 3, EmptyWindowError, "window 0x3 has no events"),
+    (3, 0, EmptyWindowError, "window 3x0 has no events"),
+    (-1, 2, InvalidArgumentError, "window sizes -1x2 are not ints >= 0"),
+    (2.0, 3, InvalidArgumentError, "window sizes 2.0x3 are not ints >= 0"),
+    (True, 3, InvalidArgumentError, "window sizes Truex3 are not ints >= 0"),
+    ("a", 3, InvalidArgumentError, "window sizes 'a'x3 are not ints >= 0"),
+    (None, 3, InvalidArgumentError, "window sizes Nonex3 are not ints >= 0"),
+    (3, "a", InvalidArgumentError, "window sizes 3x'a' are not ints >= 0"),
+    (64, 65, InvalidArgumentError, "event_count 4160 is not an int in 0..4096"),
+])
+def test_a_spec_checks_its_window_when_built(u_max, v_max, error, message):
+    with pytest.raises(error) as built:
+        LatticeSpec(u_max, v_max)
+    assert str(built.value) == message
+    with pytest.raises(error) as standard:
+        standard_lattice(u_max, v_max)
+    assert str(standard.value) == message

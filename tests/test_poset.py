@@ -171,3 +171,12 @@ def test_total_order_of_the_cap_listed_in_reverse(descending):
     assert poset.above_bits(bottom) == (1 << n) - 1
     assert poset.above_bits(top) == 1 << top
     assert poset.cover_edges() == tuple(sorted(relations))
+
+
+def test_chain_poset_checks_its_length_before_building(monkeypatch):
+    from eventposet import poset as poset_module
+
+    monkeypatch.setattr(poset_module, "build_poset", lambda *args: pytest.fail("built relations"))
+    for length in ("a", 4097):
+        with pytest.raises(InvalidArgumentError):
+            chain_poset(length)

@@ -100,6 +100,22 @@ def _one_chain_with_side(side):
     # A side that is not a Betweenness member was read as the partner side.
     pytest.param(lambda: _one_chain_with_side(None), id="one-chain-side-none"),
     pytest.param(lambda: _one_chain_with_side("P|x|Q"), id="one-chain-side-value"),
+    # Window sizes that are not numbers, compared before any check.
+    pytest.param(lambda: eventposet.standard_lattice("a", 3), id="standard-lattice-str-u"),
+    pytest.param(lambda: eventposet.standard_lattice(None, 3), id="standard-lattice-none-u"),
+    pytest.param(lambda: eventposet.standard_lattice(3, "a"), id="standard-lattice-str-v"),
+    # Each raised a TypeError or AttributeError.
+    pytest.param(lambda: eventposet.chain_poset("a"), id="chain-poset-str"),
+    pytest.param(lambda: eventposet.chain_poset(2.0), id="chain-poset-float"),
+    pytest.param(lambda: eventposet.chain_poset(4097), id="chain-poset-over-cap"),
+    pytest.param(lambda: eventposet.exact_sqrt(None), id="exact-sqrt-none"),
+    pytest.param(lambda: eventposet.spherical_decompose(1.0, 1.0, "a", 0.2),
+                 id="spherical-str-angle"),
+    pytest.param(lambda: eventposet.spherical_decompose(1.0, 1.0, 0.1, None),
+                 id="spherical-none-angle"),
+    pytest.param(lambda: eventposet.Chain(eventposet.chain_poset(2), 5), id="chain-int-elements"),
+    pytest.param(lambda: eventposet.make_valued_chain(eventposet.chain_poset(2), (0, 1), None),
+                 id="valued-chain-none-values"),
 ])
 def test_argument_checks_raise_invalid_argument_error(call):
     with pytest.raises(InvalidArgumentError):

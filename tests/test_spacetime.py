@@ -13,6 +13,7 @@ from eventposet import (
     DegenerateTransformError,
     EventPosetError,
     FloatRangeError,
+    FormatError,
     GeneralizedInterval,
     MissingProjectionError,
     NotOrthogonalError,
@@ -589,3 +590,15 @@ def test_chain_separation_matches_the_element_pair_search():
             assert got == _outcome(_chain_separation_by_search, p, q)
             outcomes.add(type(got) is tuple)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("value", [2.25, "9/4", Fraction(9, 4), "2.25"])
+def test_exact_sqrt_reads_any_rational(value):
+    assert exact_sqrt(value) == Fraction(3, 2)
+
+
+def test_exact_sqrt_refuses_what_is_not_a_rational():
+    with pytest.raises(FormatError):
+        exact_sqrt("a")
+    with pytest.raises(FloatRangeError):
+        exact_sqrt(math.inf)

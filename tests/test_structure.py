@@ -10,6 +10,7 @@ from itertools import permutations
 
 import pytest
 
+import oracles
 from eventposet import structure
 from eventposet import (
     Betweenness,
@@ -27,11 +28,13 @@ from eventposet import (
     NotCoordinatedError,
     NotLinearlyRelatedError,
     NotProperlyCollinearError,
+    NotQuantifiableError,
     OutOfRangeError,
     PairTransform,
     LatticeChainSpec,
     LatticeSpec,
     beta,
+    backward_project,
     betweenness_of,
     build_poset,
     chain_distance,
@@ -42,6 +45,7 @@ from eventposet import (
     collinearity_case,
     compose_transforms,
     detect_linear_relation,
+    forward_project,
     generate_lattice,
     induced_chain_order,
     interval_betweenness,
@@ -689,3 +693,55 @@ def test_coordination_cache_holds_partners_weakly(lattice12):
     gc.collect()
     assert partner() is None
     assert p._coordinations == {}
+
+
+def test_unquantifiable_chain_names_its_first_element_without_a_projection(lattice12):
+    # Every element's case is read before any answer: P's event 0 has no
+    # backward projection onto Q, though S's first element projects.
+    p, s, q = (lattice12.chains[k].chain for k in "PSQ")
+    with pytest.raises(
+        NotQuantifiableError, match="^event 0 is forward-only with respect to chain 'Q'$"
+    ):
+        chain_properly_collinear(p, s, q)
+
+
+_PROPER = {CollinearityCase.I, CollinearityCase.II, CollinearityCase.III}
+
+
+def _reference_properly_collinear(x_chain, p_chain, q_chain):
+    """Proper collinearity of a chain from the uncached case reference and
+    the gap rule; refuses, through the reference, the first element in chain
+    order without its four projections."""
+    cases = [oracles.matching_cases(x, p_chain, q_chain) for x in x_chain.elements]
+    if not all(matched and matched[0] in _PROPER for matched in cases):
+        return False
+    for target in (p_chain, q_chain):
+        touched = {
+            target.index_of(project(x, target))
+            for x in x_chain.elements
+            for project in (forward_project, backward_project)
+        }
+        if touched != set(range(min(touched), max(touched) + 1)):
+            return False
+    return True
+
+
+def test_chain_collinearity_matches_the_reference(lattice12):
+    chains = [vc.chain for vc in lattice12.chains.values()]
+    answers = {True: 0, False: 0, "refused": 0}
+    for chain in chains:
+        for lo in range(len(chain)):
+            for hi in range(lo, len(chain)):
+                x_chain = chain.subchain(lo, hi)
+                for p_chain, q_chain in permutations(chains, 2):
+                    try:
+                        want = _reference_properly_collinear(x_chain, p_chain, q_chain)
+                    except NotQuantifiableError as refusal:
+                        with pytest.raises(NotQuantifiableError) as got:
+                            chain_properly_collinear(x_chain, p_chain, q_chain)
+                        assert str(got.value) == str(refusal)
+                        answers["refused"] += 1
+                        continue
+                    assert chain_properly_collinear(x_chain, p_chain, q_chain) is want
+                    answers[want] += 1
+    assert all(answers.values()), answers

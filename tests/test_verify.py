@@ -15,6 +15,12 @@ from eventposet import (
     standard_lattice,
     verify,
 )
+from eventposet.errors import (
+    MissingProjectionError,
+    NotCompatibleError,
+    NotLinearlyRelatedError,
+    OutOfRangeError,
+)
 from eventposet.poset import Poset
 from eventposet.projection import _projection_table
 from eventposet.spacetime import PairTransform
@@ -356,6 +362,136 @@ def test_every_check_can_fail(monkeypatch, name, attribute, mutant, run):
     lines = []
     run(lines.append)
     assert any(line.startswith(f"[FAIL] {name}") for line in lines), lines
+
+
+def _raising(error):
+    def mutant(original):
+        def raise_it(*args):
+            raise error("mutant")
+        return raise_it
+    return mutant
+
+
+def _second_plus_one(original):
+    def shifted(p, t):
+        got = original(p, t)
+        return dataclasses.replace(got, second=got.second + 1)
+    return shifted
+
+
+def _unbalanced_decomposition(original):
+    def unbalanced(p):
+        sym, anti = original(p)
+        return dataclasses.replace(sym, first=sym.first + 1), anti
+    return unbalanced
+
+
+def _from_coords_plus_one(original):
+    def shifted(c):
+        got = original(c)
+        return dataclasses.replace(got, first=got.first + 1)
+    return shifted
+
+
+def _dt_plus_one(original):
+    def shifted(p):
+        got = original(p)
+        return dataclasses.replace(got, dt=got.dt + 1)
+    return shifted
+
+
+def _antichain_poset(original):
+    def reparsed(text):
+        poset, chains = original(text)
+        return build_poset(poset.event_count, []), chains
+    return reparsed
+
+
+def _no_chains(original):
+    return lambda text: (original(text)[0], {})
+
+
+def _oracle(lattice):
+    return verify._check_projection_oracle(
+        lattice.poset, [vc.chain for vc in lattice.chains.values()]
+    )
+
+
+def _text(lattice):
+    return verify._check_text_roundtrip(lattice.poset, lattice.chains)
+
+
+def _simplex(lattice):
+    return verify._check_simplex()
+
+
+def _transforms(lattice):
+    return verify._check_transform_layer()
+
+
+def _minkowski(lattice):
+    return verify._check_minkowski()
+
+
+def _subspace(lattice):
+    return verify._check_subspace_projection(verify.projection_lattice())
+
+
+# (check run on the 12x12 lattice, primitive in verify's namespace, mutant of
+# it, one message the check must return); checks that build their own
+# inputs ignore the lattice.
+_MESSAGES = [
+    pytest.param(_oracle, "brute_backward", _constant(None),
+                 "backward projection of 0 onto 'P'", id="oracle-backward"),
+    pytest.param(verify._check_coordination, "check_coordinated", _raising(NotCompatibleError),
+                 "coordination check failed for P, Q: mutant", id="coordination-raises"),
+    pytest.param(verify._check_coordination, "check_coordinated", _constant(True),
+                 "double-rate revaluation of Q still coordinated", id="coordination-double-rate"),
+    pytest.param(verify._check_coordination, "check_coordinated", _raising(NotCompatibleError),
+                 "scoped coordination P, T failed: mutant", id="coordination-scoped"),
+    pytest.param(verify._check_linear_relation, "detect_linear_relation",
+                 _raising(NotLinearlyRelatedError), "S vs P: mutant", id="relation-raises"),
+    pytest.param(verify._check_linear_relation, "detect_linear_relation",
+                 _constant(PairTransform(4, 1)), "S vs itself: (4, 1)", id="relation-self"),
+    pytest.param(verify._check_distance_constancy, "chain_distance", _raising(OutOfRangeError),
+                 "distance between P, Q never defined", id="distance-undefined"),
+    pytest.param(verify._check_distance_constancy, "chain_distance", _varying,
+                 f"distance between P, R varies: {list(range(97, 145))}", id="distance-varies"),
+    pytest.param(verify._check_scalar_invariance, "exact_sqrt", _constant(None),
+                 "S vs P: tick scalar not a perfect square", id="scalar-irrational"),
+    pytest.param(_simplex, "chain_separation", _raising(MissingProjectionError),
+                 "simplex N=2: no distance between C1, C2", id="simplex-missing"),
+    pytest.param(_simplex, "chain_separation", _constant(Fraction(2)),
+                 "simplex N=3: distance 2 instead of 1", id="simplex-not-one"),
+    pytest.param(_simplex, "chain_separation", _varying,
+                 "simplex N=3: unequal distances [2, 3, 4]", id="simplex-unequal"),
+    pytest.param(_transforms, "compose_transforms", _swapped_composition,
+                 "velocity addition broken for (2, 2), (1, 11/9)", id="transform-velocity"),
+    pytest.param(_transforms, "to_coords", _dt_plus_one,
+                 "pair and coordinate routes disagree for (8, -6) under (11, 3/2)",
+                 id="transform-routes"),
+    pytest.param(_transforms, "apply_pair_transform", _second_plus_one,
+                 "null pair (4, 0) lost its zero component under (2, 2)", id="transform-null"),
+    pytest.param(_transforms, "decompose", _unbalanced_decomposition,
+                 "decomposition does not re-add for (-9, 5)", id="transform-decompose"),
+    pytest.param(_minkowski, "from_coords", _from_coords_plus_one,
+                 "coordinate round-trip broken for (23/2, 12/5)", id="minkowski-roundtrip"),
+    pytest.param(_subspace, "combine_projection_distances", _constant(0.0),
+                 "off-axis displacement h=1.0 shifted projection to 0.0", id="subspace-off-axis"),
+    pytest.param(_text, "parse_poset_text", _antichain_poset,
+                 "closure changed across text round-trip at 0", id="text-closure"),
+    pytest.param(_text, "parse_poset_text", _no_chains,
+                 "chain set changed across text round-trip", id="text-chain-set"),
+]
+
+
+@pytest.mark.parametrize("check, attribute, mutant, message", _MESSAGES)
+def test_every_failure_message_is_reached(monkeypatch, lattice12, check, attribute, mutant,
+                                          message):
+    # Each message is built once, so a slip in its f-string shows here;
+    # transforms and rationals print as the CLI prints them.
+    monkeypatch.setattr(verify, attribute, mutant(getattr(verify, attribute)))
+    assert message in check(lattice12)
 
 
 def test_a_raising_check_fails_and_the_rest_still_run():

@@ -20,7 +20,8 @@ mode and seed, and prints for each metric both medians, the ratio of B's
 median to A's, the distance between A's quartiles, and how many pairs B
 won (ties count for neither side). A ``!`` marks a median worse than A's
 by more than the metric's bound. Directions and bounds come from
-``BENCHMARK.json``.
+``BENCHMARK.json``. Two records that share no such run are an error
+(exit 1).
 
 Standard library only; run it from any directory.
 """
@@ -174,11 +175,16 @@ def worse_beyond_bound(row: dict) -> bool:
 
 def compare(args) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in args.compare)
+    rows = compare_records(a, b, declared_metrics())
+    if not rows:
+        print(f"error: {a['label']} and {b['label']} share no run of one workload, "
+              "trace mode and seed", file=sys.stderr)
+        return 1
     print(f"A = {a['label']}, B = {b['label']}; ratio = B/A of the medians")
     print(f"{'workload':<16}{'metric':<44}{'pairs':>6}{'median A':>12}{'median B':>12}"
           f"{'B/A':>8}{'A q3-q1':>11}{'B won':>7}")
 
-    for row in compare_records(a, b, declared_metrics()):
+    for row in rows:
         if not (row["median_a"] or row["median_b"]):
             continue
         ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
