@@ -154,7 +154,7 @@ def standard_lattice(u_max: int = 12, v_max: int = 12) -> Lattice:
         LatticeChainSpec("T", 1, 1, 4, 2),
         LatticeChainSpec("S", 4, 1, 0, 0),
     ]
-    window = LatticeSpec(u_max, v_max)
+    window = LatticeSpec(u_max, v_max)  # checks the sizes before the fit test compares them
     # Steps are >= 0, so a chain whose second tick is inside the window
     # starts inside it too.
     kept = [c for c in candidates if c.u0 + c.du < u_max and c.v0 + c.dv < v_max]
