@@ -85,6 +85,7 @@ from .projection import (
 )
 from .spacetime import (
     Character,
+    PairTransform,
     ScalarLength,
     ScalarResult,
     SpacetimeCoords,
@@ -93,6 +94,7 @@ from .spacetime import (
     chain_separation,
     combine_projection_distances,
     compose_transforms,
+    detect_linear_relation,
     element_chain_distance,
     exact_sqrt,
     from_coords,
@@ -111,13 +113,11 @@ from .structure import (
     Betweenness,
     CollinearityCase,
     IntervalPosition,
-    PairTransform,
     betweenness_of,
     chain_properly_collinear,
     check_compatible,
     check_coordinated,
     collinearity_case,
-    detect_linear_relation,
     induced_chain_order,
     interval_betweenness,
     is_properly_collinear,

@@ -8,6 +8,8 @@ to the identity, so the length of a closed interval is the difference of
 its endpoint values and is additive under joins. This module owns the
 one rule for an index range ``(lo, hi)`` of a chain
 (``_check_index_range``): windows, subchains and closed intervals all use it.
+It also owns the rule that two chains compared with each other live on one
+poset (``_check_same_poset``).
 """
 from __future__ import annotations
 
@@ -100,6 +102,14 @@ def _as_tuple(items, what: str) -> tuple:
         raise InvalidArgumentError(f"{what} {items!r} are not iterable") from None
 
 
+def _check_type(value, kind: type, what: str) -> None:
+    """InvalidArgumentError naming ``what`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidArgumentError(
+            f"{what} must be a {kind.__name__}, not {type(value).__name__}"
+        )
+
+
 def _cached_per_partner(
     cache: dict, partner: object, key: tuple, compute: Callable[[], _T]
 ) -> _T:
@@ -145,13 +155,20 @@ def _check_index_range(chain: Chain | ValuedChain, lo: int, hi: int, window=None
         )
 
 
+def _check_same_poset(a: Chain, b: Chain) -> None:
+    if a.poset is not b.poset:
+        raise DifferentChainsError(
+            f"chains {a.name!r} and {b.name!r} live on different posets"
+        )
+
+
 @dataclass(frozen=True)
 class Chain:
     """Strictly increasing, non-empty run of events in a poset.
 
     ``elements`` may be any iterable; it is kept as a tuple. None or no
     elements raise NotAChainError, and a value that is not iterable
-    InvalidArgumentError.
+    InvalidArgumentError, as does a ``poset`` that is not a Poset.
 
     The private fields are caches: the position of each element, the
     projection table that :mod:`eventposet.projection` builds on first use,
@@ -171,6 +188,7 @@ class Chain:
     )
 
     def __post_init__(self):
+        _check_type(self.poset, Poset, "the poset of a chain")
         object.__setattr__(self, "elements", _as_tuple(self.elements or (), "chain elements"))
         if not self.elements:
             raise NotAChainError("a chain needs at least one element")
@@ -211,7 +229,8 @@ class ValuedChain:
     """A chain together with an isotonic rational valuation.
 
     ``values`` may be any iterable; each value is read by
-    :func:`as_fraction`.
+    :func:`as_fraction`. A ``chain`` that is not a Chain raises
+    InvalidArgumentError.
 
     The private field caches the one coordination proof per partner chain
     and windows (see :func:`eventposet.structure._coordination_refusal`),
@@ -227,6 +246,7 @@ class ValuedChain:
     )
 
     def __post_init__(self):
+        _check_type(self.chain, Chain, "the chain of a valued chain")
         values = tuple(map(as_fraction, _as_tuple(self.values, "chain values")))
         object.__setattr__(self, "values", values)
         if len(values) != len(self.chain):
@@ -292,13 +312,15 @@ def make_valued_chain(
 
 @dataclass(frozen=True)
 class ClosedInterval:
-    """Indices ``lo..hi`` into a valued chain, endpoints included."""
+    """Indices ``lo..hi`` into a valued chain, endpoints included; a
+    ``valued_chain`` that is not a ValuedChain raises InvalidArgumentError."""
 
     valued_chain: ValuedChain
     lo_index: int
     hi_index: int
 
     def __post_init__(self):
+        _check_type(self.valued_chain, ValuedChain, "the valued chain of a closed interval")
         _check_index_range(self.valued_chain, self.lo_index, self.hi_index)
 
 

@@ -3,7 +3,7 @@
 Load a poset from the text format or generate one, then inspect it:
 
     eventposet project --gen lattice:8,8 --chain P
-    eventposet quantify --gen lattice:12,12 --interval 31 74 --chains P Q
+    eventposet quantify --gen lattice:12,12 --interval 49 90 --chains P Q
     eventposet transform --m 4 --n 1 --pair 2 2
     eventposet verify
 
@@ -38,6 +38,7 @@ from .spacetime import (
     PairTransform,
     apply_pair_transform,
     beta,
+    detect_linear_relation,
     gamma,
     interval_scalar,
     lorentz_matrix,
@@ -51,7 +52,6 @@ from .structure import (
     _collinearity_table,
     _side,
     betweenness_of,
-    detect_linear_relation,
 )
 from .textio import format_poset_text, parse_poset_text
 

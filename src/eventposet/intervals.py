@@ -29,19 +29,12 @@ from .errors import (
     InvalidArgumentError,
     MissingProjectionError,
     NoSharedEndpointError,
-    NotBetweenError,
-    NotCoordinatedError,
     OutOfRangeError,
     SideUnknownError,
 )
 from .poset import EventId
 from .projection import forward_project, quantify_event
-from .structure import (
-    Betweenness,
-    _collinearity_table,
-    _coordination_refusal,
-    _side,
-)
+from .structure import Betweenness, _require_between, _require_coordinated
 
 
 class PairBasis(Enum):
@@ -174,33 +167,6 @@ def interval_pair_one_chain(
     return IntervalPair(
         fb - fa, bb - ba, PairBasis.ONE_CHAIN_SAME_SIDE, (p,)
     )
-
-
-def _require_coordinated(
-    p: ValuedChain,
-    q: ValuedChain,
-    p_range: IndexRange | None,
-    q_range: IndexRange | None,
-) -> None:
-    """Raise NotCoordinatedError, with the reason, unless ``p`` and ``q``
-    are coordinated over the windows by the cached proof of
-    :func:`eventposet.structure._coordination_refusal`."""
-    refusal = _coordination_refusal(p, q, p_range, q_range)
-    if refusal is not None:
-        raise NotCoordinatedError(refusal[1])
-
-
-def _require_between(x: EventId, p: ValuedChain, q: ValuedChain) -> None:
-    # Enforced when decidable: the full case test needs projections that
-    # finite windows may cut off even for elements that sit between the
-    # chains, so an endpoint with a missing projection is trusted to the
-    # caller. One that matches no case, or another side's, is refused.
-    p.poset.check_id(x)
-    side = _side(_collinearity_table(p.chain, q.chain)[x])
-    if side is not None and side is not Betweenness.BETWEEN:
-        raise NotBetweenError(
-            f"endpoint {x} is not between chains {p.name!r} and {q.name!r}"
-        )
 
 
 def _two_chain_images(

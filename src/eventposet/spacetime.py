@@ -6,9 +6,9 @@ among linearly-related quantifying chains; its sign separates chain-like
 intervals. The pair transform rescales components by sqrt(m/n) and its
 inverse, which under the change of variables dt = (first + second)/2,
 dx = (first - second)/2 is a Lorentz boost with beta = (m - n)/(m + n).
-:class:`PairTransform` itself is defined in :mod:`.structure`, where
-:func:`~.structure.detect_linear_relation` produces it; every operation on
-it is here.
+A chain linearly related to another projects its unit steps onto it with
+constant lengths (m, n); :func:`detect_linear_relation` returns them as a
+:class:`PairTransform`.
 
 Results stay exact rationals whenever the needed square roots are exact
 (the lattice generators are arranged so they are); otherwise values fall
@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chains import RationalLike, ValuedChain, as_fraction
+from .chains import RationalLike, ValuedChain, _check_same_poset, as_fraction
 from .errors import (
     CoincidentChainsError,
+    DegenerateTransformError,
     FloatRangeError,
     InvalidArgumentError,
+    NotLinearlyRelatedError,
     NotOrthogonalError,
     OutOfRangeError,
 )
@@ -45,7 +47,6 @@ from .intervals import (
 )
 from .poset import EventId
 from .projection import quantify_event
-from .structure import PairTransform
 
 
 class Character(Enum):
@@ -86,6 +87,34 @@ class SpacetimeCoords:
     def __post_init__(self):
         object.__setattr__(self, "dt", _component(self.dt))
         object.__setattr__(self, "dx", _component(self.dx))
+
+
+@dataclass(frozen=True)
+class PairTransform:
+    """Projection step lengths (m, n) relating two linearly-related chains.
+
+    A vanishing component means every element of one chain projects to a
+    single element of the other (|beta| = 1); such transforms cannot be
+    inverted and are rejected.
+    """
+
+    m: Fraction
+    n: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", as_fraction(self.m))
+        object.__setattr__(self, "n", as_fraction(self.n))
+        if self.m <= 0 or self.n <= 0:
+            raise DegenerateTransformError(
+                f"pair transform needs positive step lengths, got "
+                f"({self.m}, {self.n})"
+            )
+
+    def inverse(self) -> "PairTransform":
+        return PairTransform(self.n, self.m)
+
+    def __str__(self) -> str:
+        return f"({self.m}, {self.n})"
 
 
 def exact_sqrt(value: RationalLike) -> Fraction | None:
@@ -137,6 +166,57 @@ def minkowski_form(p: IntervalPair) -> tuple[Fraction, Fraction, Fraction]:
     dt, dx = length_of_pair(exact), distance_of_pair(exact)
     values = (first * second, dt * dt, dx * dx)
     return tuple(map(_to_float, values)) if inexact else values
+
+
+def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> PairTransform:
+    """The pair transform of chain S onto chain P: its per-unit projection
+    step lengths.
+
+    Each valuation step of S must forward-project onto P with length
+    ``m * step`` and backward-project with length ``n * step`` for fixed
+    rationals m, n; constancy is exact, with no tolerance. Zero-length
+    steps (coarse graining) must project to zero-length steps. A null pair,
+    with m or n zero, is refused with DegenerateTransformError.
+    """
+    _check_same_poset(s.chain, p.chain)
+    if len(s) < 2:
+        raise NotLinearlyRelatedError(
+            f"chain {s.name!r} has no steps to compare"
+        )
+    images = [quantify_event(x, p) for x in s.elements]
+
+    m: Fraction | None = None
+    n: Fraction | None = None
+    for k in range(len(s) - 1):
+        step = s.values[k + 1] - s.values[k]
+        fwd_step = images[k + 1][0] - images[k][0]
+        bwd_step = images[k + 1][1] - images[k][1]
+        if step == 0:
+            if fwd_step != 0 or bwd_step != 0:
+                raise NotLinearlyRelatedError(
+                    f"zero-length step {k} of {s.name!r} projects onto "
+                    f"{p.name!r} with nonzero length"
+                )
+            continue
+        ratio_f = fwd_step / step
+        ratio_b = bwd_step / step
+        if m is None:
+            m, n = ratio_f, ratio_b
+        elif ratio_f != m or ratio_b != n:
+            raise NotLinearlyRelatedError(
+                f"step {k} of {s.name!r} projects onto {p.name!r} with "
+                f"lengths ({ratio_f}, {ratio_b}) per unit, expected ({m}, {n})"
+            )
+    if m is None:
+        raise NotLinearlyRelatedError(
+            f"chain {s.name!r} has zero total length"
+        )
+    if m == 0 or n == 0:
+        raise DegenerateTransformError(
+            f"chain {s.name!r} projects onto {p.name!r} with lengths ({m}, {n}) "
+            "per unit: |beta| = 1, so the pair is not a frame"
+        )
+    return PairTransform(m, n)
 
 
 def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:

@@ -10,7 +10,9 @@ emergent spatial direction. Compatibility and coordination make two
 chains agree on each other's interval lengths, the analogue of observers
 at relative rest. One proof decides both (``_coordination_refusal``),
 cached per valued-chain pair and windows and read by every check of them,
-:mod:`.intervals` included, so a pair is proved once.
+so a pair is proved once. This module owns the two requirements that the
+two-chain quantifications of :mod:`.intervals` make: coordinated chains
+(``_require_coordinated``) and endpoints between them (``_require_between``).
 
 All classification here is per element, from that element's own
 projections; twists hidden between an element's projections would only be
@@ -18,40 +20,29 @@ visible through other elements and are deliberately not searched for. The
 first classification against an ordered chain pair classifies every event
 at once (see ``_collinearity_table``) and caches that table on the first
 chain; every reader of a case or a side reads it.
-
-A chain linearly related to another projects its unit steps onto it with
-constant lengths (m, n); :func:`detect_linear_relation` returns them as a
-:class:`PairTransform`. The class is defined here, next to the detection
-that produces it, because :mod:`.spacetime`, which holds every operation
-on it, imports this module through :mod:`.intervals`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .chains import (
     Chain,
     IndexRange,
     ValuedChain,
     _cached_per_partner,
+    _check_same_poset,
     _checked_window,
-    as_fraction,
 )
 from .errors import (
-    DegenerateTransformError,
-    DifferentChainsError,
     EventPosetError,
     MissingProjectionError,
     NotBetweenError,
     NotCompatibleError,
     NotCoordinatedError,
-    NotLinearlyRelatedError,
     NotProperlyCollinearError,
 )
 from .poset import EventId
-from .projection import _project_both_ways, _projection_table, quantify_event
+from .projection import _project_both_ways, _projection_table
 
 
 class CollinearityCase(Enum):
@@ -86,34 +77,6 @@ class IntervalPosition(Enum):
     P_B_Q_A = "P|b|Q|a"
 
 
-@dataclass(frozen=True)
-class PairTransform:
-    """Projection step lengths (m, n) relating two linearly-related chains.
-
-    A vanishing component means every element of one chain projects to a
-    single element of the other (|beta| = 1); such transforms cannot be
-    inverted and are rejected.
-    """
-
-    m: Fraction
-    n: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_fraction(self.m))
-        object.__setattr__(self, "n", as_fraction(self.n))
-        if self.m <= 0 or self.n <= 0:
-            raise DegenerateTransformError(
-                f"pair transform needs positive step lengths, got "
-                f"({self.m}, {self.n})"
-            )
-
-    def inverse(self) -> "PairTransform":
-        return PairTransform(self.n, self.m)
-
-    def __str__(self) -> str:
-        return f"({self.m}, {self.n})"
-
-
 # The five identity blocks. Slots 0..3 stand for the four direct
 # projections of an event x: onto P forward, P backward, Q forward and Q
 # backward. An identity (lhs, image, argument) asserts that the projection
@@ -126,13 +89,6 @@ _CASE_IDENTITIES = (
     (CollinearityCase.IV, ((0, 0, 2), (2, 3, 0), (1, 0, 3), (3, 3, 1))),
     (CollinearityCase.V, ((0, 1, 2), (2, 2, 0), (1, 1, 3), (3, 2, 1))),
 )
-
-
-def _check_same_poset(a: Chain, b: Chain) -> None:
-    if a.poset is not b.poset:
-        raise DifferentChainsError(
-            f"chains {a.name!r} and {b.name!r} live on different posets"
-        )
 
 
 _CaseTable = list[tuple[CollinearityCase, ...] | None]
@@ -426,52 +382,28 @@ def check_coordinated(
     return False
 
 
-def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> PairTransform:
-    """The pair transform of chain S onto chain P: its per-unit projection
-    step lengths.
+def _require_coordinated(
+    p: ValuedChain,
+    q: ValuedChain,
+    p_range: IndexRange | None,
+    q_range: IndexRange | None,
+) -> None:
+    """Raise NotCoordinatedError, with the reason, unless ``p`` and ``q``
+    are coordinated over the windows by the cached proof of
+    :func:`_coordination_refusal`."""
+    refusal = _coordination_refusal(p, q, p_range, q_range)
+    if refusal is not None:
+        raise NotCoordinatedError(refusal[1])
 
-    Each valuation step of S must forward-project onto P with length
-    ``m * step`` and backward-project with length ``n * step`` for fixed
-    rationals m, n; constancy is exact, with no tolerance. Zero-length
-    steps (coarse graining) must project to zero-length steps. A null pair,
-    with m or n zero, is refused with DegenerateTransformError.
-    """
-    _check_same_poset(s.chain, p.chain)
-    if len(s) < 2:
-        raise NotLinearlyRelatedError(
-            f"chain {s.name!r} has no steps to compare"
-        )
-    images = [quantify_event(x, p) for x in s.elements]
 
-    m: Fraction | None = None
-    n: Fraction | None = None
-    for k in range(len(s) - 1):
-        step = s.values[k + 1] - s.values[k]
-        fwd_step = images[k + 1][0] - images[k][0]
-        bwd_step = images[k + 1][1] - images[k][1]
-        if step == 0:
-            if fwd_step != 0 or bwd_step != 0:
-                raise NotLinearlyRelatedError(
-                    f"zero-length step {k} of {s.name!r} projects onto "
-                    f"{p.name!r} with nonzero length"
-                )
-            continue
-        ratio_f = fwd_step / step
-        ratio_b = bwd_step / step
-        if m is None:
-            m, n = ratio_f, ratio_b
-        elif ratio_f != m or ratio_b != n:
-            raise NotLinearlyRelatedError(
-                f"step {k} of {s.name!r} projects onto {p.name!r} with "
-                f"lengths ({ratio_f}, {ratio_b}) per unit, expected ({m}, {n})"
-            )
-    if m is None:
-        raise NotLinearlyRelatedError(
-            f"chain {s.name!r} has zero total length"
+def _require_between(x: EventId, p: ValuedChain, q: ValuedChain) -> None:
+    # Enforced when decidable: the full case test needs projections that
+    # finite windows may cut off even for elements that sit between the
+    # chains, so an endpoint with a missing projection is trusted to the
+    # caller. One that matches no case, or another side's, is refused.
+    p.poset.check_id(x)
+    side = _side(_collinearity_table(p.chain, q.chain)[x])
+    if side is not None and side is not Betweenness.BETWEEN:
+        raise NotBetweenError(
+            f"endpoint {x} is not between chains {p.name!r} and {q.name!r}"
         )
-    if m == 0 or n == 0:
-        raise DegenerateTransformError(
-            f"chain {s.name!r} projects onto {p.name!r} with lengths ({m}, {n}) "
-            "per unit: |beta| = 1, so the pair is not a frame"
-        )
-    return PairTransform(m, n)

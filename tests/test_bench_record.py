@@ -141,3 +141,39 @@ def test_compare_refuses_records_without_a_shared_run(bench_record, tmp_path, ca
     assert captured.err == (
         "error: abc1234 and def5678 share no run of one workload, trace mode and seed\n"
     )
+
+
+def _completed(returncode, stdout, stderr):
+    return lambda argv: subprocess.CompletedProcess(argv, returncode, stdout, stderr)
+
+
+@pytest.mark.parametrize("second, status, last", [
+    (_completed(1, "", "Traceback (most recent call last):\nRuntimeError: boom\n"),
+     "exit status 1", "RuntimeError: boom"),
+    (_completed(0, "progress\nnot json\n", ""),
+     "exit status 0 without a result line", "(none)"),
+], ids=["failed", "malformed"])
+def test_record_names_a_failed_run_and_keeps_the_earlier_ones(
+        bench_record, checkout, tmp_path, monkeypatch, second, status, last):
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {"op_p90_ms": {"value": 1.0}}}
+    runs = iter([_completed(0, "progress\n" + json.dumps(result) + "\n", ""), second])
+    real_run = subprocess.run
+
+    def fake_run(argv, **kwargs):
+        # git keeps working; each perfbench/run.py call gets the next outcome.
+        if "perfbench/run.py" not in argv:
+            return real_run(argv, **kwargs)
+        return next(runs)(argv)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    argv = ["--checkout", str(checkout), "--workload", "cli-oneshot", "--seed", "1", "2",
+            "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(argv)
+    assert exc.value.code == (
+        f"error: perfbench/run.py in {checkout.resolve()}, workload cli-oneshot, seed 2: "
+        f"{status}; last stderr line: {last}"
+    )
+    (path,) = tmp_path.glob("BENCH_*.json")
+    assert [run["seed"] for run in json.loads(path.read_text())["runs"]] == [1]

@@ -116,6 +116,10 @@ def _one_chain_with_side(side):
     pytest.param(lambda: eventposet.Chain(eventposet.chain_poset(2), 5), id="chain-int-elements"),
     pytest.param(lambda: eventposet.make_valued_chain(eventposet.chain_poset(2), (0, 1), None),
                  id="valued-chain-none-values"),
+    # Each constructor checks its object argument.
+    pytest.param(lambda: eventposet.Chain(None, (0,)), id="chain-none-poset"),
+    pytest.param(lambda: eventposet.ValuedChain(None, (1,)), id="valued-chain-none-chain"),
+    pytest.param(lambda: eventposet.ClosedInterval(None, 0, 0), id="closed-interval-none-chain"),
 ])
 def test_argument_checks_raise_invalid_argument_error(call):
     with pytest.raises(InvalidArgumentError):

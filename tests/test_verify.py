@@ -524,3 +524,19 @@ def test_a_raising_check_does_not_stop_run_all(monkeypatch):
         "[FAIL] linear-relation-detection: S vs P: detected (1, 1), expected (4, 1)",
         "[FAIL] scalar-invariance: event 0 is forward-only with respect to chain 'Q'",
     ]
+
+
+def test_simplex_reports_only_refusals_when_no_distance_is_defined(monkeypatch):
+    # With every separation refused there are no magnitudes to compare, so
+    # neither "unequal" nor "instead of 1" applies.
+    refused = _raising(MissingProjectionError)(verify.chain_separation)
+    monkeypatch.setattr(verify, "chain_separation", refused)
+    violations = verify._check_simplex()
+    assert violations and all(": no distance between " in v for v in violations)
+    (result,) = verify._run_checks([("simplex-equal-distances", verify._check_simplex)],
+                                   lambda line: None)
+    assert result.detail == (
+        "simplex N=2: no distance between C1, C2; simplex N=3: no distance between C1, C2; "
+        "simplex N=3: no distance between C1, C3"
+    )
+    assert "unequal distances []" not in result.detail

@@ -13,7 +13,9 @@ checkout's short commit when its files match that commit, else
 the git tree id of its files, untracked ones included and ignored ones
 left out. With several checkouts, the runs of one workload and seed follow
 each other, and the checkout that runs first rotates from seed to seed,
-so two checkouts make interleaved pairs with alternating order.
+so two checkouts make interleaved pairs with alternating order. A run that
+fails ends the tool with an ``error:`` line (exit 1); the runs before it
+stay recorded.
 
 ``--compare A B`` pairs the runs of the two records by workload, trace
 mode and seed, and prints for each metric both medians, the ratio of B's
@@ -70,13 +72,29 @@ def describe(checkout: Path) -> tuple[str, str, str]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``: its final JSON line, flattened."""
+    """One ``perfbench/run.py`` run in ``checkout``: its final JSON line, flattened.
+
+    A run that fails, or whose last line is not a result, ends the tool with
+    one ``error:`` line naming the run and the last line of its stderr.
+    """
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
-    result = json.loads(done.stdout.splitlines()[-1])
+    result = None
+    if done.returncode == 0:
+        try:
+            result = json.loads(done.stdout.splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            pass
+    if result is None:
+        status = f"exit status {done.returncode}"
+        if done.returncode == 0:
+            status += " without a result line"
+        last = (done.stderr.strip().splitlines() or ["(none)"])[-1]
+        sys.exit(f"error: perfbench/run.py in {checkout}, workload {workload}, seed {seed}: "
+                 f"{status}; last stderr line: {last}")
     return {
         "workload": workload,
         "seed": seed,
