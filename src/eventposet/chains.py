@@ -105,8 +105,9 @@ def _as_tuple(items, what: str) -> tuple:
 def _check_type(value, kind: type, what: str) -> None:
     """InvalidArgumentError naming ``what`` unless ``value`` is a ``kind``."""
     if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise InvalidArgumentError(
-            f"{what} must be a {kind.__name__}, not {type(value).__name__}"
+            f"{what} must be {article} {kind.__name__}, not {type(value).__name__}"
         )
 
 
@@ -168,7 +169,8 @@ class Chain:
 
     ``elements`` may be any iterable; it is kept as a tuple. None or no
     elements raise NotAChainError, and a value that is not iterable
-    InvalidArgumentError, as does a ``poset`` that is not a Poset.
+    InvalidArgumentError, as do a ``poset`` that is not a Poset and a
+    ``name`` that is not a str.
 
     The private fields are caches: the position of each element, the
     projection table that :mod:`eventposet.projection` builds on first use,
@@ -189,6 +191,7 @@ class Chain:
 
     def __post_init__(self):
         _check_type(self.poset, Poset, "the poset of a chain")
+        _check_type(self.name, str, "the name of a chain")
         object.__setattr__(self, "elements", _as_tuple(self.elements or (), "chain elements"))
         if not self.elements:
             raise NotAChainError("a chain needs at least one element")

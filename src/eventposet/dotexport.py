@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .chains import ValuedChain
+from .chains import ValuedChain, _check_type
 from .errors import EventPosetError, InvalidArgumentError
 from .poset import Poset
 from .projection import forward_project
@@ -28,6 +28,9 @@ def export_dot(
     chains: Mapping[str, ValuedChain] | None = None,
     mode: str = "hasse",
 ) -> str:
+    """The DOT text of ``poset`` in ``mode``; a ``poset`` that is not a
+    Poset raises InvalidArgumentError."""
+    _check_type(poset, Poset, "the poset to export")
     if mode == "hasse":
         return _hasse(poset, chains or {})
     if mode == "geometric":

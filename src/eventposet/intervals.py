@@ -22,12 +22,11 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .chains import IndexRange, ValuedChain, _checked_window, as_fraction
+from .chains import IndexRange, ValuedChain, _check_type, _checked_window, as_fraction
 from .errors import (
     BasisMismatchError,
     FloatRangeError,
     InvalidArgumentError,
-    MissingProjectionError,
     NoSharedEndpointError,
     OutOfRangeError,
     SideUnknownError,
@@ -174,41 +173,68 @@ def _two_chain_images(
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Valuations ``(pa, pb, qa, qb)`` of the endpoints' forward images.
 
-    The chains must be coordinated and the endpoints between them.
+    The chains must be coordinated and the endpoints between them, which
+    gives each endpoint its projections onto both chains.
     """
     _require_coordinated(p, q, None, None)
+    # Both ids are checked before either endpoint's side is read.
+    p.poset.check_id(interval.a)
+    p.poset.check_id(interval.b)
     _require_between(interval.a, p, q)
     _require_between(interval.b, p, q)
-    values = []
-    for vc in (p, q):
-        for x in (interval.a, interval.b):
-            image = forward_project(x, vc.chain)
-            if image is None:
-                raise MissingProjectionError(
-                    f"endpoint {x} does not forward project onto {vc.name!r}"
-                )
-            values.append(vc.value_of(image))
-    return tuple(values)
+    return tuple(
+        vc.value_of(forward_project(x, vc.chain))
+        for vc in (p, q)
+        for x in (interval.a, interval.b)
+    )
 
 
 def interval_pair_two_chains(
     interval: GeneralizedInterval, p: ValuedChain, q: ValuedChain
 ) -> IntervalPair:
-    """Quantify by forward projections onto two coordinated chains."""
+    """Quantify by forward projections onto two coordinated chains.
+
+    Raises NotCoordinatedError unless the chains are coordinated, and for
+    an endpoint that is not between them what ``structure._require_between``
+    raises: MissingProjectionError (a NotQuantifiableError) when one of its
+    four projections is missing, NotBetweenError when its case places it
+    elsewhere.
+    """
     pa, pb, qa, qb = _two_chain_images(interval, p, q)
     return IntervalPair(pb - pa, qb - qa, PairBasis.TWO_CHAIN, (p, q))
 
 
+def _half_sum_and_difference(p: IntervalPair) -> tuple[Fraction, Fraction, bool]:
+    """The exact ``(first + second)/2`` and ``(first - second)/2`` of ``p``,
+    and whether a component is a float.
+
+    The one place that computes them: from the components' integer ratios,
+    so each half is a single normalized Fraction. A caller rounds, by
+    :func:`_rounded`, only the halves it returns. A ``p`` that is not an
+    IntervalPair raises InvalidArgumentError.
+    """
+    try:
+        first, second = p.first, p.second
+    except AttributeError:
+        _check_type(p, IntervalPair, "an interval pair")
+        raise
+    n1, d1 = first.as_integer_ratio()
+    n2, d2 = second.as_integer_ratio()
+    a, b, den = n1 * d2, n2 * d1, 2 * d1 * d2
+    inexact = isinstance(first, float) or isinstance(second, float)
+    return Fraction(a + b, den), Fraction(a - b, den), inexact
+
+
 def length_of_pair(p: IntervalPair) -> Fraction | float:
     """Chain-like extent: the mean of the components."""
-    (first, second), inexact = _exact(p.first, p.second)
-    return _rounded((first + second) / 2, inexact)
+    mean, _, inexact = _half_sum_and_difference(p)
+    return _rounded(mean, inexact)
 
 
 def distance_of_pair(p: IntervalPair) -> Fraction | float:
     """Antichain-like extent: half the component difference."""
-    (first, second), inexact = _exact(p.first, p.second)
-    return _rounded((first - second) / 2, inexact)
+    _, half_diff, inexact = _half_sum_and_difference(p)
+    return _rounded(half_diff, inexact)
 
 
 def chain_distance(
@@ -254,8 +280,8 @@ def chain_distance(
 def decompose(p: IntervalPair) -> tuple[IntervalPair, IntervalPair]:
     """Split into symmetric plus antisymmetric parts; for a rational pair
     they re-add exactly."""
-    mean = length_of_pair(p)
-    half_diff = distance_of_pair(p)
+    mean, half_diff, inexact = _half_sum_and_difference(p)
+    mean, half_diff = _rounded(mean, inexact), _rounded(half_diff, inexact)
     symmetric = IntervalPair(mean, mean, p.basis, p.chains)
     antisymmetric = IntervalPair(half_diff, -half_diff, p.basis, p.chains)
     return symmetric, antisymmetric

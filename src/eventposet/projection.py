@@ -13,11 +13,11 @@ the table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
-from .chains import Chain, ValuedChain
+from .chains import Chain, ValuedChain, _check_type
 from .errors import NotQuantifiableError
 from .poset import EventId, _iter_bits
 
@@ -39,9 +39,10 @@ _CASE_OF_PRESENCE = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectionOutcome:
-    """The two projections of an event, None where absent; ``case`` follows from them."""
+class ProjectionOutcome(NamedTuple):
+    """The two projections of an event, None where absent; ``case`` follows
+    from them. A tuple: it unpacks as ``(forward, backward)`` and equals that
+    plain tuple."""
 
     forward: EventId | None
     backward: EventId | None
@@ -58,9 +59,14 @@ def _projection_table(chain: Chain) -> _Table:
     """``(forward, backward)``: the forward and the backward projection of
     every event of the poset, None where that projection is absent.
 
-    The table of a chain is built on first use and cached on it.
+    The table of a chain is built on first use and cached on it. A
+    ``chain`` that is not a Chain raises InvalidArgumentError.
     """
-    table = chain._projections
+    try:
+        table = chain._projections
+    except AttributeError:
+        _check_type(chain, Chain, "the chain to project onto")
+        raise
     if table is None:
         # Stored whole in one assignment, so a concurrent reader sees no
         # table or a complete one.
@@ -92,23 +98,25 @@ def _build_table(chain: Chain) -> _Table:
 
 def forward_project(x: EventId, chain: Chain) -> EventId | None:
     """Least chain element that includes ``x``, or None."""
+    table = _projection_table(chain)
     chain.poset.check_id(x)
-    return _projection_table(chain)[0][x]
+    return table[0][x]
 
 
 def backward_project(x: EventId, chain: Chain) -> EventId | None:
     """Greatest chain element included by ``x``, or None."""
+    table = _projection_table(chain)
     chain.poset.check_id(x)
-    return _projection_table(chain)[1][x]
+    return table[1][x]
 
 
 def classify_projection(x: EventId, chain: Chain) -> ProjectionOutcome:
     """Both projections of ``x``; the outcome's ``case`` is the four-way
     classification they imply."""
-    # Checked before the table is read: ``forward[-1]`` or ``forward[True]``
-    # would be another event's projection.
-    chain.poset.check_id(x)
     forward, backward = _projection_table(chain)
+    # Checked before the table is indexed: ``forward[-1]`` or
+    # ``forward[True]`` would be another event's projection.
+    chain.poset.check_id(x)
     return ProjectionOutcome(forward[x], backward[x])
 
 
@@ -118,8 +126,8 @@ def _project_both_ways(x: EventId, chain: Chain) -> tuple[EventId, EventId]:
     Raises NotQuantifiableError, a MissingProjectionError, naming the
     case of ``x`` when either projection is absent.
     """
-    chain.poset.check_id(x)
     table = _projection_table(chain)
+    chain.poset.check_id(x)
     forward, backward = table[0][x], table[1][x]
     if forward is None or backward is None:
         case = ProjectionOutcome(forward, backward).case

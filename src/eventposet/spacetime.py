@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chains import RationalLike, ValuedChain, _check_same_poset, as_fraction
+from .chains import RationalLike, ValuedChain, _check_same_poset, _check_type, as_fraction
 from .errors import (
     CoincidentChainsError,
     DegenerateTransformError,
@@ -37,12 +37,12 @@ from .intervals import (
     IntervalPair,
     _component,
     _exact,
+    _half_sum_and_difference,
     _kind_of_scalar,
     _rounded,
     _to_float,
     chain_distance,
     distance_of_pair,
-    length_of_pair,
     pair,
 )
 from .poset import EventId
@@ -161,10 +161,9 @@ def scalar_length(p: IntervalPair) -> ScalarLength:
 
 def minkowski_form(p: IntervalPair) -> tuple[Fraction, Fraction, Fraction]:
     """(scalar, dt^2, dx^2) with scalar = dt^2 - dx^2 exactly."""
-    (first, second), inexact = _exact(p.first, p.second)
-    exact = pair(first, second) if inexact else p
-    dt, dx = length_of_pair(exact), distance_of_pair(exact)
-    values = (first * second, dt * dt, dx * dx)
+    dt, dx, inexact = _half_sum_and_difference(p)
+    dt2, dx2 = dt * dt, dx * dx
+    values = (dt2 - dx2, dt2, dx2)
     return tuple(map(_to_float, values)) if inexact else values
 
 
@@ -240,7 +239,14 @@ def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
 
 def beta(t: PairTransform) -> Fraction:
     """(m - n) / (m + n): the emergent relative speed, always exact."""
-    return (t.m - t.n) / (t.m + t.n)
+    try:
+        m, n = t.m, t.n
+    except AttributeError:
+        _check_type(t, PairTransform, "a pair transform")
+        raise
+    # One Fraction from the four ints: (ad - cb) / (ad + cb) for m = a/b, n = c/d.
+    ad, cb = m.numerator * n.denominator, n.numerator * m.denominator
+    return Fraction(ad - cb, ad + cb)
 
 
 def gamma(t: PairTransform) -> Fraction | float:
@@ -266,11 +272,17 @@ def lorentz_matrix(
 
 def compose_transforms(t1: PairTransform, t2: PairTransform) -> PairTransform:
     """Componentwise product; betas combine by the velocity addition rule."""
-    return PairTransform(t1.m * t2.m, t1.n * t2.n)
+    try:
+        return PairTransform(t1.m * t2.m, t1.n * t2.n)
+    except AttributeError:
+        _check_type(t1, PairTransform, "the first pair transform")
+        _check_type(t2, PairTransform, "the second pair transform")
+        raise
 
 
 def to_coords(p: IntervalPair) -> SpacetimeCoords:
-    return SpacetimeCoords(length_of_pair(p), distance_of_pair(p))
+    dt, dx, inexact = _half_sum_and_difference(p)
+    return SpacetimeCoords(_rounded(dt, inexact), _rounded(dx, inexact))
 
 
 def from_coords(coords: SpacetimeCoords) -> IntervalPair:

@@ -397,13 +397,14 @@ def _require_coordinated(
 
 
 def _require_between(x: EventId, p: ValuedChain, q: ValuedChain) -> None:
-    # Enforced when decidable: the full case test needs projections that
-    # finite windows may cut off even for elements that sit between the
-    # chains, so an endpoint with a missing projection is trusted to the
-    # caller. One that matches no case, or another side's, is refused.
-    p.poset.check_id(x)
-    side = _side(_collinearity_table(p.chain, q.chain)[x])
-    if side is not None and side is not Betweenness.BETWEEN:
+    """Raise unless the case of ``x`` places it between ``p`` and ``q``.
+
+    The case is read as :func:`betweenness_of` reads it: an ``x`` without
+    one of its four projections raises MissingProjectionError (a
+    NotQuantifiableError naming the event, the chain and its case), and one
+    whose case places it elsewhere, or nowhere, NotBetweenError.
+    """
+    if betweenness_of(x, p.chain, q.chain) is not Betweenness.BETWEEN:
         raise NotBetweenError(
             f"endpoint {x} is not between chains {p.name!r} and {q.name!r}"
         )

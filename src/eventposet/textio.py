@@ -15,12 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .chains import ValuedChain, _parse_rational, make_valued_chain
+from .chains import ValuedChain, _check_type, _parse_rational, make_valued_chain
 from .errors import FormatError
 from .poset import Poset, _check_event_count, build_poset
 
 
 def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
+    """The poset and chains that ``text`` states; a ``text`` that is not a
+    str raises InvalidArgumentError."""
+    _check_type(text, str, "poset text")
     event_count: int | None = None
     relations: list[tuple[int, int]] = []
     chain_specs: list[tuple[str, list[int], list[Fraction]]] = []

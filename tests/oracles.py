@@ -7,16 +7,22 @@ cases are spelled out from their definitions over the library's
 projections, apart from the library's encoding of them. The three
 ``*_sweep`` functions are the exhaustive per-pair and per-split sweeps
 that ``verify`` runs only to name violations; its reduced tests are
-checked against them.
+checked against them. The ``reference_*`` functions are the pair and
+boost formulas as plain ``Fraction`` expressions, each result rounded once
+when an operand is a float, apart from the library's shared kernel.
 """
 from __future__ import annotations
 
+import math
+import sys
+from fractions import Fraction
 from functools import partial
 
 from eventposet import (
     Chain,
     ClosedInterval,
     CollinearityCase,
+    FloatRangeError,
     Lattice,
     Poset,
     backward_project,
@@ -25,6 +31,7 @@ from eventposet import (
 )
 from eventposet.poset import _iter_bits
 from eventposet.projection import _project_both_ways
+from eventposet.spacetime import _sqrt
 
 
 def brute_forward(poset: Poset, x: int, elements) -> int | None:
@@ -167,3 +174,62 @@ def length_additivity_sweep(chains) -> list[str]:
                     if left + right != whole:
                         bad.append(f"additivity broken on {vc.name!r} at {i},{j},{k}")
     return bad
+
+
+def _round_once(value: Fraction, inexact: bool) -> Fraction | float:
+    """``value`` as it is, or, when an operand was a float, the nearest float;
+    FloatRangeError for a nonzero value outside the normal float range."""
+    if not inexact:
+        return value
+    try:
+        rounded = float(value)
+    except OverflowError:
+        rounded = math.inf
+    if value and not sys.float_info.min <= abs(rounded) < math.inf:
+        raise FloatRangeError(f"{value} is outside the float range")
+    return rounded
+
+
+def _exact_operands(*values) -> tuple[list[Fraction], bool]:
+    return [Fraction(v) for v in values], any(isinstance(v, float) for v in values)
+
+
+def reference_length(first, second) -> Fraction | float:
+    (x, y), inexact = _exact_operands(first, second)
+    return _round_once((x + y) / 2, inexact)
+
+
+def reference_distance(first, second) -> Fraction | float:
+    (x, y), inexact = _exact_operands(first, second)
+    return _round_once((x - y) / 2, inexact)
+
+
+def reference_decompose(first, second) -> tuple:
+    """The components ``(mean, mean, half, -half)`` of the two parts."""
+    mean, half = reference_length(first, second), reference_distance(first, second)
+    return mean, mean, half, -half
+
+
+def reference_to_coords(first, second) -> tuple:
+    return reference_length(first, second), reference_distance(first, second)
+
+
+def reference_minkowski(first, second) -> tuple:
+    (x, y), inexact = _exact_operands(first, second)
+    dt, dx = (x + y) / 2, (x - y) / 2
+    return tuple(_round_once(v, inexact) for v in (x * y, dt * dt, dx * dx))
+
+
+def reference_beta(m: Fraction, n: Fraction) -> Fraction:
+    return (m - n) / (m + n)
+
+
+def reference_gamma(m: Fraction, n: Fraction) -> Fraction | float:
+    b = reference_beta(m, n)
+    return 1 / _sqrt(1 - b * b)
+
+
+def reference_lorentz_apply(dt, dx, m: Fraction, n: Fraction) -> tuple:
+    b = reference_beta(m, n)
+    (g, t, x), inexact = _exact_operands(reference_gamma(m, n), dt, dx)
+    return _round_once(g * (t + b * x), inexact), _round_once(g * (x + b * t), inexact)

@@ -143,6 +143,22 @@ def test_compare_refuses_records_without_a_shared_run(bench_record, tmp_path, ca
     )
 
 
+def test_record_names_a_checkout_that_git_cannot_describe(bench_record, tmp_path, monkeypatch):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    monkeypatch.setattr(bench_record, "run_once", lambda *a: pytest.fail("ran a workload"))
+    out_dir = tmp_path / "out"
+    argv = ["--checkout", str(plain), "--workload", "cli-oneshot", "--seed", "1",
+            "--out-dir", str(out_dir)]
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(argv)
+    message = exc.value.code
+    assert message.startswith(f"error: {plain.resolve()} is not a git checkout with a commit; "
+                              "git said: fatal: ")
+    assert "\n" not in message
+    assert not out_dir.exists()
+
+
 def _completed(returncode, stdout, stderr):
     return lambda argv: subprocess.CompletedProcess(argv, returncode, stdout, stderr)
 

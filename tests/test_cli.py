@@ -87,7 +87,7 @@ def test_quantify(capsys):
     args = [
         "quantify",
         "--gen", "lattice:12,12",
-        "--interval", str(lattice_event(3, 1)), str(lattice_event(6, 2)),
+        "--interval", str(lattice_event(4, 2)), str(lattice_event(7, 3)),
         "--chains", "P", "Q",
     ]
     assert main(args) == 0
@@ -96,6 +96,18 @@ def test_quantify(capsys):
     assert "length = 2" in out
     assert "distance = 1" in out
     assert "scalar = 3 (time-like)" in out
+
+
+@pytest.mark.parametrize("a, b", [(37, 74), (31, 74), (0, 1)])
+def test_quantify_refuses_an_endpoint_without_its_projections(capsys, a, b):
+    # Event a lacks its backward projection onto Q, so its side is
+    # undecided; it is refused, not trusted to be between the chains.
+    args = ["quantify", "--gen", "lattice:12,12", "--interval", str(a), str(b),
+            "--chains", "P", "Q"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: event {a} is forward-only with respect to chain 'Q'\n"
 
 
 def test_transform(capsys):

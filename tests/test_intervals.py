@@ -80,11 +80,45 @@ def test_one_chain_needs_both_projections(lattice12):
 
 def test_two_chain_quantification(lattice12):
     p, q = lattice12.chains["P"], lattice12.chains["Q"]
-    interval = GeneralizedInterval(lattice12.event(3, 1), lattice12.event(6, 2))
+    interval = GeneralizedInterval(lattice12.event(4, 2), lattice12.event(7, 3))
     got = interval_pair_two_chains(interval, p, q)
     assert (got.first, got.second) == (Fraction(3), Fraction(1))
     assert got.basis is PairBasis.TWO_CHAIN
     assert got.chains == (p, q)
+
+
+def test_two_chain_survey_matches_the_closed_form(lattice12):
+    # P starts at (0, 0) and Q at (4, 0), both stepping (1, 1) with values
+    # 0, 1, 2, ...: an event is between them iff v <= u <= v + 4, and a
+    # pair of two such events is (du, dv). Every ordered pair of events is
+    # tried; an endpoint outside is never quantified, and one whose side is
+    # undecided is refused, never trusted.
+    p, q = lattice12.chains["P"], lattice12.chains["Q"]
+
+    def between(x):
+        u, v = lattice12.coords(x)
+        return v <= u <= v + 4
+
+    events = list(lattice12.poset.events())
+    quantified = set()
+    for a in events:
+        for b in events:
+            try:
+                got = interval_pair_two_chains(GeneralizedInterval(a, b), p, q)
+            except (NotBetweenError, MissingProjectionError):
+                continue
+            assert between(a) and between(b), (a, b)
+            (ua, va), (ub, vb) = lattice12.coords(a), lattice12.coords(b)
+            assert (got.first, got.second) == (ub - ua, vb - va), (a, b)
+            quantified.update((a, b))
+    # Only events with all four projections are decided: Q needs u >= 4
+    # for the backward one and v < len(Q) for the forward one. Of these,
+    # the table places 26 between the chains (P's own elements match case
+    # I first, so they sit on P's side).
+    decided = {x for x in events if between(x)
+               and lattice12.coords(x)[0] >= 4 and lattice12.coords(x)[1] < len(q)}
+    assert quantified <= decided
+    assert len(quantified) == 26
 
 
 def test_two_chain_degenerate(lattice12):
@@ -275,13 +309,13 @@ def test_join_is_associative():
 
 def test_artificial_event_split(lattice12):
     p, q = lattice12.chains["P"], lattice12.chains["Q"]
-    a, b = lattice12.event(1, 0), lattice12.event(5, 1)
+    a, b = lattice12.event(5, 4), lattice12.event(9, 5)
     source = interval_pair_two_chains(GeneralizedInterval(a, b), p, q)
     assert (source.first, source.second) == (4, 1)
     p0, q0 = split_at_artificial_event(GeneralizedInterval(a, b), p, q)
-    assert (p0, q0) == (Fraction(5, 2), Fraction(-3, 2))
-    pa, qa = Fraction(1), Fraction(0)
-    pb, qb = Fraction(5), Fraction(1)
+    assert (p0, q0) == (Fraction(13, 2), Fraction(5, 2))
+    pa, qa = Fraction(5), Fraction(4)
+    pb, qb = Fraction(9), Fraction(5)
     first = pair(p0 - pa, q0 - qa)
     second = pair(pb - p0, qb - q0)
     assert first.is_antisymmetric
@@ -323,16 +357,16 @@ def test_artificial_event_split_exhaustive(lattice12):
 
 def test_artificial_event_of_symmetric_interval_is_start(lattice12):
     p, q = lattice12.chains["P"], lattice12.chains["Q"]
-    a, b = lattice12.event(1, 0), lattice12.event(3, 2)
+    a, b = lattice12.event(5, 4), lattice12.event(7, 6)
     p0, q0 = split_at_artificial_event(GeneralizedInterval(a, b), p, q)
-    assert (p0, q0) == (Fraction(1), Fraction(0))  # projections of a
+    assert (p0, q0) == (Fraction(5), Fraction(4))  # projections of a
 
 
 def test_artificial_event_of_antisymmetric_interval_is_end(lattice12):
     p, q = lattice12.chains["P"], lattice12.chains["Q"]
-    a, b = lattice12.event(2, 1), lattice12.event(3, 0)
+    a, b = lattice12.event(6, 5), lattice12.event(7, 4)
     p0, q0 = split_at_artificial_event(GeneralizedInterval(a, b), p, q)
-    assert (p0, q0) == (Fraction(3), Fraction(0))  # projections of b
+    assert (p0, q0) == (Fraction(7), Fraction(4))  # projections of b
 
 
 @pytest.mark.parametrize(
@@ -345,9 +379,9 @@ def test_artificial_event_ignores_chain_names(lattice12, names):
         make_valued_chain(lattice12.poset, vc.elements, vc.values, name)
         for vc, name in zip((lattice12.chains["P"], lattice12.chains["Q"]), names)
     )
-    a, b = lattice12.event(1, 0), lattice12.event(5, 1)
+    a, b = lattice12.event(5, 4), lattice12.event(9, 5)
     p0, q0 = split_at_artificial_event(GeneralizedInterval(a, b), p, q)
-    assert (p0, q0) == (Fraction(5, 2), Fraction(-3, 2))
+    assert (p0, q0) == (Fraction(13, 2), Fraction(5, 2))
 
 
 @pytest.mark.parametrize(

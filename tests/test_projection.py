@@ -305,3 +305,13 @@ def test_outcomes_are_frozen(lattice12):
     with pytest.raises(AttributeError):
         outcome.forward = 1
     assert not hasattr(outcome, "__dict__")
+
+
+def test_outcomes_unpack_as_forward_and_backward(lattice12):
+    chain = lattice12.chains["Q"].chain
+    for x in lattice12.poset.events():
+        outcome = classify_projection(x, chain)
+        forward, backward = outcome
+        assert (forward, backward) == (forward_project(x, chain), backward_project(x, chain))
+        assert outcome == (forward, backward)
+        assert outcome.case is _ORACLE_CASE[forward is not None, backward is not None]

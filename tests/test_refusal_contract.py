@@ -120,10 +120,53 @@ def _one_chain_with_side(side):
     pytest.param(lambda: eventposet.Chain(None, (0,)), id="chain-none-poset"),
     pytest.param(lambda: eventposet.ValuedChain(None, (1,)), id="valued-chain-none-chain"),
     pytest.param(lambda: eventposet.ClosedInterval(None, 0, 0), id="closed-interval-none-chain"),
+    # Each raised an AttributeError on its object argument.
+    *[pytest.param(lambda fn=fn, chain=chain: fn(0, chain()), id=f"{fn.__name__}-{label}")
+      for fn in (eventposet.forward_project, eventposet.backward_project,
+                 eventposet.classify_projection)
+      for label, chain in (("none", lambda: None),
+                           ("valued-chain", lambda: eventposet.standard_lattice(4, 4).chains["P"]))],
+    *[pytest.param(lambda fn=fn: fn(None), id=f"{fn.__name__}-none")
+      for fn in (eventposet.beta, eventposet.gamma, eventposet.lorentz_matrix,
+                 eventposet.length_of_pair, eventposet.distance_of_pair, eventposet.decompose,
+                 eventposet.to_coords, eventposet.minkowski_form,
+                 eventposet.parse_poset_text, eventposet.export_dot)],
+    pytest.param(lambda: eventposet.lorentz_apply(eventposet.SpacetimeCoords(1, 0), None),
+                 id="lorentz_apply-none"),
+    pytest.param(lambda: eventposet.compose_transforms(None, eventposet.PairTransform(4, 1)),
+                 id="compose_transforms-none-first"),
+    pytest.param(lambda: eventposet.compose_transforms(eventposet.PairTransform(4, 1), (4, 1)),
+                 id="compose_transforms-tuple-second"),
+    pytest.param(lambda: eventposet.to_coords(eventposet.SpacetimeCoords(1, 0)),
+                 id="to_coords-coords"),
+    pytest.param(lambda: eventposet.beta(eventposet.pair(4, 1)), id="beta-pair"),
+    # A chain name that is not a str.
+    pytest.param(lambda: eventposet.make_valued_chain(eventposet.chain_poset(3), (0, 1), (0, 1), None),
+                 id="chain-none-name"),
+    pytest.param(lambda: eventposet.make_valued_chain(eventposet.chain_poset(3), (0, 1), (0, 1), 5),
+                 id="chain-int-name"),
 ])
 def test_argument_checks_raise_invalid_argument_error(call):
     with pytest.raises(InvalidArgumentError):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eventposet.classify_projection(0, eventposet.standard_lattice(4, 4).chains["P"]),
+     "the chain to project onto must be a Chain, not ValuedChain"),
+    (lambda: eventposet.gamma(None), "a pair transform must be a PairTransform, not NoneType"),
+    (lambda: eventposet.compose_transforms(eventposet.PairTransform(4, 1), (4, 1)),
+     "the second pair transform must be a PairTransform, not tuple"),
+    (lambda: eventposet.minkowski_form((4, 1)), "an interval pair must be an IntervalPair, not tuple"),
+    (lambda: eventposet.parse_poset_text(b"events 1"), "poset text must be a str, not bytes"),
+    (lambda: eventposet.export_dot(None), "the poset to export must be a Poset, not NoneType"),
+    (lambda: eventposet.Chain(eventposet.chain_poset(1), (0,), 5),
+     "the name of a chain must be a str, not int"),
+])
+def test_object_argument_refusals_name_the_argument_and_its_type(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_invalid_arguments_are_value_errors_and_event_poset_errors():

@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eventposet import (
     BasisMismatchError,
@@ -15,6 +16,7 @@ from eventposet import (
     FloatRangeError,
     FormatError,
     GeneralizedInterval,
+    IntervalPair,
     MissingProjectionError,
     NotOrthogonalError,
     OutOfRangeError,
@@ -26,6 +28,8 @@ from eventposet import (
     chain_separation,
     combine_projection_distances,
     compose_transforms,
+    decompose,
+    distance_of_pair,
     element_chain_distance,
     exact_sqrt,
     from_coords,
@@ -35,6 +39,7 @@ from eventposet import (
     interval_pair_two_chains,
     interval_scalar,
     join_intervals,
+    length_of_pair,
     lorentz_apply,
     lorentz_matrix,
     make_valued_chain,
@@ -49,6 +54,8 @@ from eventposet import (
     to_coords,
 )
 from eventposet.verify import projection_lattice
+
+import oracles
 
 T41 = PairTransform(4, 1)
 
@@ -121,7 +128,7 @@ def test_transported_pair_names_no_chains(lattice12):
     # The (P, Q) pair moved by (4, 1) is no longer P and Q's quantification,
     # so it must not add to an unmoved (P, Q) pair; two moved pairs still add.
     p, q = lattice12.chains["P"], lattice12.chains["Q"]
-    first, second = GeneralizedInterval(37, 50), GeneralizedInterval(50, 63)
+    first, second = GeneralizedInterval(50, 63), GeneralizedInterval(63, 76)
     first_pair = interval_pair_two_chains(first, p, q)
     second_pair = interval_pair_two_chains(second, p, q)
     assert (first_pair.first, first_pair.second) == (second_pair.first, second_pair.second) == (1, 1)
@@ -602,3 +609,60 @@ def test_exact_sqrt_refuses_what_is_not_a_rational():
         exact_sqrt("a")
     with pytest.raises(FloatRangeError):
         exact_sqrt(math.inf)
+
+
+_TINY = sys.float_info.min
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, _TINY, -_TINY, _TINY * (1 - 2 ** -52), 1e-200,
+                1.0, 0.1, -0.2, 1e200, 1e308, -1e308, sys.float_info.max]
+_COMPONENTS = (st.fractions() | st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from(_FLOAT_EDGES))
+_STEPS = (st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)
+          | st.floats(min_value=1e-300, max_value=1e300))
+
+
+def _numbers(result) -> tuple:
+    """The numbers a result holds, in order: pair components, coordinates
+    or the items of a tuple."""
+    if isinstance(result, IntervalPair):
+        return (result.first, result.second)
+    if isinstance(result, SpacetimeCoords):
+        return (result.dt, result.dx)
+    if isinstance(result, tuple):
+        return sum(map(_numbers, result), ())
+    return (result,)
+
+
+def _assert_matches_reference(call, reference):
+    """Same values of the same types as ``reference()``, or the same error class."""
+    try:
+        want = _numbers(reference())
+    except EventPosetError as exc:
+        with pytest.raises(type(exc)):
+            call()
+        return
+    got = _numbers(call())
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
+
+@settings(max_examples=400)
+@given(_COMPONENTS, _COMPONENTS, _STEPS, _STEPS)
+# One half normal and the other a nonzero subnormal: a function must round
+# only the half it returns.
+@example(math.nextafter(_TINY, 1), _TINY, 4, 1)
+@example(math.nextafter(_TINY, 1), -_TINY, 4, 1)
+def test_pair_and_boost_functions_match_their_reference_formulas(first, second, m, n):
+    p, t = pair(first, second), PairTransform(m, n)
+    m, n = t.m, t.n
+    for fn, reference in (
+        (length_of_pair, oracles.reference_length),
+        (distance_of_pair, oracles.reference_distance),
+        (decompose, oracles.reference_decompose),
+        (to_coords, oracles.reference_to_coords),
+        (minkowski_form, oracles.reference_minkowski),
+    ):
+        _assert_matches_reference(lambda: fn(p), lambda: reference(first, second))
+    _assert_matches_reference(lambda: beta(t), lambda: oracles.reference_beta(m, n))
+    _assert_matches_reference(lambda: gamma(t), lambda: oracles.reference_gamma(m, n))
+    _assert_matches_reference(
+        lambda: lorentz_apply(SpacetimeCoords(first, second), t),
+        lambda: oracles.reference_lorentz_apply(first, second, m, n))

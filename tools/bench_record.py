@@ -13,9 +13,10 @@ checkout's short commit when its files match that commit, else
 the git tree id of its files, untracked ones included and ignored ones
 left out. With several checkouts, the runs of one workload and seed follow
 each other, and the checkout that runs first rotates from seed to seed,
-so two checkouts make interleaved pairs with alternating order. A run that
-fails ends the tool with an ``error:`` line (exit 1); the runs before it
-stay recorded.
+so two checkouts make interleaved pairs with alternating order. A
+checkout that git cannot describe, or a run that fails, ends the tool
+with an ``error:`` line (exit 1); the runs before a failed run stay
+recorded.
 
 ``--compare A B`` pairs the runs of the two records by workload, trace
 mode and seed, and prints for each metric both medians, the ratio of B's
@@ -120,7 +121,11 @@ def record(args) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     targets = {}
     for checkout in (Path(c).resolve() for c in args.checkout):
-        commit, tree, label = describe(checkout)
+        try:
+            commit, tree, label = describe(checkout)
+        except subprocess.CalledProcessError as exc:
+            last = (exc.stderr.strip().splitlines() or ["(none)"])[-1]
+            sys.exit(f"error: {checkout} is not a git checkout with a commit; git said: {last}")
         path = Path(args.out_dir) / f"BENCH_{label}.json"
         if path in targets:
             sys.exit(f"error: {targets[path][0]} and {checkout} hold the same tree; "
