@@ -8,8 +8,9 @@ chain's reach simply cannot be quantified from it.
 
 The first projection onto a chain computes both projections of every
 event at once from the poset's closure rows (see ``_build_table``) and
-caches that table on the chain; a query then validates its id and reads
-the table.
+caches that table on the chain; a query then fetches the table, validates
+its id and reads its row. An outcome is a plain tuple of the two
+projections, so building one per event costs what a tuple costs.
 """
 from __future__ import annotations
 
