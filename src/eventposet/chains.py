@@ -124,8 +124,8 @@ def _cached_per_partner(
     full_key = (id(partner), *key)
     entry = cache.get(full_key)
     if entry is None or entry[0]() is not partner:
-        ref = weakref.ref(partner, lambda _: cache.pop(full_key, None))
-        entry = (ref, compute())
+        value = compute()
+        entry = (weakref.ref(partner, lambda _: cache.pop(full_key, None)), value)
         cache[full_key] = entry
     return entry[1]
 

@@ -176,16 +176,19 @@ def _two_chain_images(
     The chains must be coordinated and the endpoints between them, which
     gives each endpoint its projections onto both chains.
     """
+    try:
+        a, b = interval.a, interval.b
+    except AttributeError:
+        _check_type(interval, GeneralizedInterval, "the interval to quantify")
+        raise
     _require_coordinated(p, q, None, None)
     # Both ids are checked before either endpoint's side is read.
-    p.poset.check_id(interval.a)
-    p.poset.check_id(interval.b)
-    _require_between(interval.a, p, q)
-    _require_between(interval.b, p, q)
+    p.poset.check_id(a)
+    p.poset.check_id(b)
+    _require_between(a, p, q)
+    _require_between(b, p, q)
     return tuple(
-        vc.value_of(forward_project(x, vc.chain))
-        for vc in (p, q)
-        for x in (interval.a, interval.b)
+        vc.value_of(forward_project(x, vc.chain)) for vc in (p, q) for x in (a, b)
     )
 
 
@@ -301,7 +304,11 @@ def classify_interval(p: IntervalPair) -> IntervalClassification:
     """Like signs are chain-like, opposite antichain-like, a zero component
     projection-like, read on the exact values. Pure means equal magnitudes;
     the (0, 0) pair counts as pure projection-like."""
-    (first, second), _ = _exact(p.first, p.second)
+    try:
+        (first, second), _ = _exact(p.first, p.second)
+    except AttributeError:
+        _check_type(p, IntervalPair, "an interval pair")
+        raise
     return IntervalClassification(
         _kind_of_scalar(first * second), abs(first) == abs(second)
     )

@@ -78,9 +78,11 @@ class Poset:
             raise InvalidIdError(f"event id {x!r} not in 0..{self._count - 1}")
 
     def leq(self, x: EventId, y: EventId) -> bool:
-        """True iff ``x <= y`` in the closure (reflexive)."""
-        self.check_id(x)
-        self.check_id(y)
+        """True iff ``x <= y`` in the closure (reflexive). Both ids pass
+        ``_is_index`` before a row is read; ``check_id`` only raises."""
+        if not (_is_index(x, self._count) and _is_index(y, self._count)):
+            self.check_id(x)
+            self.check_id(y)
         return bool((self._above[x] >> y) & 1)
 
     def comparability(self, x: EventId, y: EventId) -> Comparability:
@@ -97,7 +99,8 @@ class Poset:
 
     def above_bits(self, x: EventId) -> int:
         """Bitmask of all events ``y`` with ``x <= y`` (includes ``x``)."""
-        self.check_id(x)
+        if not _is_index(x, self._count):
+            self.check_id(x)
         return self._above[x]
 
     def cover_edges(self) -> tuple[tuple[EventId, EventId], ...]:

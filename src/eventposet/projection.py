@@ -8,9 +8,10 @@ chain's reach simply cannot be quantified from it.
 
 The first projection onto a chain computes both projections of every
 event at once from the poset's closure rows (see ``_build_table``) and
-caches that table on the chain; a query then fetches the table, validates
-its id and reads its row. An outcome is a plain tuple of the two
-projections, so building one per event costs what a tuple costs.
+caches that table on the chain. Every per-event query reads its row through
+``_projection_row``: one attribute read fetches the table and one
+``_is_index`` call checks the id before any index. An outcome is a tuple of
+the two projections, built on every call with no memo.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from .chains import Chain, ValuedChain, _check_type
 from .errors import NotQuantifiableError
-from .poset import EventId, _iter_bits
+from .poset import EventId, _is_index, _iter_bits
 
 
 class ProjectionCase(Enum):
@@ -54,6 +55,8 @@ class ProjectionOutcome(NamedTuple):
 
 
 _Table = tuple[list[EventId | None], list[EventId | None]]
+
+_tuple_new = tuple.__new__  # an outcome without the NamedTuple's Python __new__
 
 
 def _projection_table(chain: Chain) -> _Table:
@@ -97,28 +100,32 @@ def _build_table(chain: Chain) -> _Table:
     return forward, backward
 
 
+def _projection_row(x: EventId, chain: Chain) -> tuple[EventId | None, EventId | None]:
+    """``(forward, backward)`` projections of ``x``. The id is checked before
+    any index: ``forward[-1]`` or ``forward[True]`` would be another event's."""
+    try:
+        forward, backward = chain._projections
+    except (AttributeError, TypeError):  # not a Chain, or no table yet
+        forward, backward = _projection_table(chain)
+    if not _is_index(x, len(forward)):
+        chain.poset.check_id(x)
+    return forward[x], backward[x]
+
+
 def forward_project(x: EventId, chain: Chain) -> EventId | None:
     """Least chain element that includes ``x``, or None."""
-    table = _projection_table(chain)
-    chain.poset.check_id(x)
-    return table[0][x]
+    return _projection_row(x, chain)[0]
 
 
 def backward_project(x: EventId, chain: Chain) -> EventId | None:
     """Greatest chain element included by ``x``, or None."""
-    table = _projection_table(chain)
-    chain.poset.check_id(x)
-    return table[1][x]
+    return _projection_row(x, chain)[1]
 
 
 def classify_projection(x: EventId, chain: Chain) -> ProjectionOutcome:
     """Both projections of ``x``; the outcome's ``case`` is the four-way
     classification they imply."""
-    forward, backward = _projection_table(chain)
-    # Checked before the table is indexed: ``forward[-1]`` or
-    # ``forward[True]`` would be another event's projection.
-    chain.poset.check_id(x)
-    return ProjectionOutcome(forward[x], backward[x])
+    return _tuple_new(ProjectionOutcome, _projection_row(x, chain))
 
 
 def _project_both_ways(x: EventId, chain: Chain) -> tuple[EventId, EventId]:
@@ -127,22 +134,26 @@ def _project_both_ways(x: EventId, chain: Chain) -> tuple[EventId, EventId]:
     Raises NotQuantifiableError, a MissingProjectionError, naming the
     case of ``x`` when either projection is absent.
     """
-    table = _projection_table(chain)
-    chain.poset.check_id(x)
-    forward, backward = table[0][x], table[1][x]
-    if forward is None or backward is None:
-        case = ProjectionOutcome(forward, backward).case
+    row = _projection_row(x, chain)
+    if None in row:
+        case = _tuple_new(ProjectionOutcome, row).case
         raise NotQuantifiableError(
             f"event {x} is {case.value} with respect to chain {chain.name!r}"
         )
-    return forward, backward
+    return row
 
 
 def quantify_event(x: EventId, valued_chain: ValuedChain) -> tuple[Fraction, Fraction]:
     """Chain-based coordinates ``(v(forward), v(backward))`` of ``x``.
 
     Only elements that project in both directions carry coordinates on
-    this chain; anything else is outside its coordinate patch.
+    this chain; anything else is outside its coordinate patch. A
+    ``valued_chain`` that is not a ValuedChain raises InvalidArgumentError.
     """
-    forward, backward = _project_both_ways(x, valued_chain.chain)
+    try:
+        chain = valued_chain.chain
+    except AttributeError:
+        _check_type(valued_chain, ValuedChain, "the valued chain to quantify on")
+        raise
+    forward, backward = _project_both_ways(x, chain)
     return valued_chain.value_of(forward), valued_chain.value_of(backward)

@@ -147,14 +147,22 @@ def _sqrt(value: Fraction) -> Fraction | float:
 
 def interval_scalar(p: IntervalPair) -> ScalarResult:
     """Product of the pair components, with its causal character."""
-    (first, second), inexact = _exact(p.first, p.second)
+    try:
+        (first, second), inexact = _exact(p.first, p.second)
+    except AttributeError:
+        _check_type(p, IntervalPair, "an interval pair")
+        raise
     value = _rounded(first * second, inexact)
     return ScalarResult(value, _CHARACTER_OF_KIND[_kind_of_scalar(value)])
 
 
 def scalar_length(p: IntervalPair) -> ScalarLength:
     """sqrt(first * second); imaginary for antichain-like pairs."""
-    (first, second), inexact = _exact(p.first, p.second)
+    try:
+        (first, second), inexact = _exact(p.first, p.second)
+    except AttributeError:
+        _check_type(p, IntervalPair, "an interval pair")
+        raise
     product = first * second
     return ScalarLength(_rounded(_sqrt(abs(product)), inexact), product < 0)
 
@@ -177,7 +185,12 @@ def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> PairTransform:
     steps (coarse graining) must project to zero-length steps. A null pair,
     with m or n zero, is refused with DegenerateTransformError.
     """
-    _check_same_poset(s.chain, p.chain)
+    try:
+        _check_same_poset(s.chain, p.chain)
+    except AttributeError:
+        _check_type(s, ValuedChain, "chain S of a linear relation")
+        _check_type(p, ValuedChain, "chain P of a linear relation")
+        raise
     if len(s) < 2:
         raise NotLinearlyRelatedError(
             f"chain {s.name!r} has no steps to compare"
@@ -226,10 +239,16 @@ def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
     but names no chains: the source chains did not quantify it, so it
     joins other transported pairs but not the pairs of those chains.
     """
-    factor = _sqrt(t.m / t.n)
+    try:
+        m, n, first, second = t.m, t.n, p.first, p.second
+    except AttributeError:
+        _check_type(p, IntervalPair, "an interval pair")
+        _check_type(t, PairTransform, "a pair transform")
+        raise
+    factor = _sqrt(m / n)
     # Each component is rounded only if it or the factor is a float.
-    (first, exact_factor), first_inexact = _exact(p.first, factor)
-    (second, _), second_inexact = _exact(p.second, factor)
+    (first, exact_factor), first_inexact = _exact(first, factor)
+    (second, _), second_inexact = _exact(second, factor)
     return IntervalPair(
         _rounded(first * exact_factor, first_inexact),
         _rounded(second / exact_factor, second_inexact),
@@ -286,7 +305,11 @@ def to_coords(p: IntervalPair) -> SpacetimeCoords:
 
 
 def from_coords(coords: SpacetimeCoords) -> IntervalPair:
-    (dt, dx), inexact = _exact(coords.dt, coords.dx)
+    try:
+        (dt, dx), inexact = _exact(coords.dt, coords.dx)
+    except AttributeError:
+        _check_type(coords, SpacetimeCoords, "spacetime coordinates")
+        raise
     return IntervalPair(_rounded(dt + dx, inexact), _rounded(dt - dx, inexact))
 
 
@@ -296,7 +319,11 @@ def lorentz_apply(coords: SpacetimeCoords, t: PairTransform) -> SpacetimeCoords:
     with the exact beta, so a float gamma is the only rounded operand.
     """
     b = beta(t)
-    (g, dt, dx), inexact = _exact(gamma(t), coords.dt, coords.dx)
+    try:
+        (g, dt, dx), inexact = _exact(gamma(t), coords.dt, coords.dx)
+    except AttributeError:
+        _check_type(coords, SpacetimeCoords, "spacetime coordinates")
+        raise
     return SpacetimeCoords(_rounded(g * (dt + b * dx), inexact), _rounded(g * (dx + b * dt), inexact))
 
 

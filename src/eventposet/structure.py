@@ -31,6 +31,7 @@ from .chains import (
     ValuedChain,
     _cached_per_partner,
     _check_same_poset,
+    _check_type,
     _checked_window,
 )
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     NotCoordinatedError,
     NotProperlyCollinearError,
 )
-from .poset import EventId
+from .poset import EventId, _is_index
 from .projection import _project_both_ways, _projection_table
 
 
@@ -100,10 +101,16 @@ def _collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
 
     Built on first use and cached on ``p_chain``, keyed on the partner
     chain, which the cache holds weakly. Cases depend on the order alone,
-    so the key is a ``Chain``, not a valuation.
+    so the key is a ``Chain``, not a valuation. Either chain that is not a
+    Chain raises InvalidArgumentError.
     """
+    try:
+        cache = p_chain._collinearities
+    except AttributeError:
+        _check_type(p_chain, Chain, "chain P of a chain pair")
+        raise
     return _cached_per_partner(
-        p_chain._collinearities,
+        cache,
         q_chain,
         (),
         lambda: _build_collinearity_table(p_chain, q_chain),
@@ -113,6 +120,7 @@ def _collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
 def _build_collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
     """``_CASE_IDENTITIES`` evaluated for every event over the projection
     tables of the two chains, so each composite projection is a list read."""
+    _check_type(q_chain, Chain, "chain Q of a chain pair")
     _check_same_poset(p_chain, q_chain)
     # The projection of every event, per slot.
     images = [*_projection_table(p_chain), *_projection_table(q_chain)]
@@ -148,8 +156,10 @@ def collinearity_case(x: EventId, p_chain: Chain, q_chain: Chain) -> Collinearit
     (MissingProjectionError otherwise). Returns the first matching case,
     or NOT_COLLINEAR when none holds.
     """
-    p_chain.poset.check_id(x)
-    matched = _collinearity_table(p_chain, q_chain)[x]
+    table = _collinearity_table(p_chain, q_chain)
+    if not _is_index(x, len(table)):
+        p_chain.poset.check_id(x)
+    matched = table[x]
     if matched is None:
         # One of these raises, naming the chain and the case of x.
         _project_both_ways(x, p_chain)

@@ -79,7 +79,11 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
 
 
 def format_poset_text(poset: Poset, chains: Mapping[str, ValuedChain] | None = None) -> str:
-    lines = [f"events {poset.event_count}"]
+    try:
+        lines = [f"events {poset.event_count}"]
+    except AttributeError:
+        _check_type(poset, Poset, "the poset to format")
+        raise
     lines.extend(f"rel {a} {b}" for a, b in poset.cover_edges())
     for name in sorted(chains or {}):
         vc = chains[name]

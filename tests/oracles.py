@@ -10,11 +10,14 @@ that ``verify`` runs only to name violations; its reduced tests are
 checked against them. The ``reference_*`` functions are the pair and
 boost formulas as plain ``Fraction`` expressions, each result rounded once
 when an operand is a float, apart from the library's shared kernel.
+``bad_ids`` lists the ids every per-event entry point must refuse.
 """
 from __future__ import annotations
 
 import math
+import re
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from functools import partial
 
@@ -32,6 +35,23 @@ from eventposet import (
 from eventposet.poset import _iter_bits
 from eventposet.projection import _project_both_ways
 from eventposet.spacetime import _sqrt
+
+
+class _Event(IntEnum):
+    FIRST = 0
+
+
+def bad_ids(event_count: int) -> list[tuple[object, str]]:
+    """``(bad, pattern)``: ids that are not events of a poset of
+    ``event_count`` events, with the pattern of ``check_id``'s refusal.
+
+    The list of ``tests/test_poset.py``: a bool, a float, an IntEnum
+    member equal to an event, a str, None, and the ints either side of the
+    range. A table indexed with ``True`` or ``-1`` would answer for
+    another event.
+    """
+    ids = (True, False, 1.0, _Event.FIRST, "1", None, -1, event_count)
+    return [(bad, re.escape(f"event id {bad!r} not in 0..{event_count - 1}")) for bad in ids]
 
 
 def brute_forward(poset: Poset, x: int, elements) -> int | None:

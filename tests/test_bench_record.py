@@ -1,6 +1,7 @@
 """The comparison of ``tools/bench_record.py`` on hand-made records."""
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -157,6 +158,35 @@ def test_record_names_a_checkout_that_git_cannot_describe(bench_record, tmp_path
                               "git said: fatal: ")
     assert "\n" not in message
     assert not out_dir.exists()
+
+
+def test_record_refuses_checkouts_that_differ_in_bytecode(
+        bench_record, checkout, tmp_path, monkeypatch):
+    twin = tmp_path / "twin"
+    _git(tmp_path, "clone", "-q", str(checkout), str(twin))
+    (twin / "b.txt").write_text("b\n")  # another tree, so the twin records apart
+    cache = twin / "src" / "pkg" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "mod.cpython-311.pyc").write_bytes(b"")
+    run = {"workload": "cli-oneshot", "seed": 1, "trace": 0, "correct": True,
+           "attempted": 1, "failed": 0, "metrics": {"op_p90_ms": 1.0}}
+    ran = []
+    monkeypatch.setattr(bench_record, "run_once", lambda *a: ran.append(a) or dict(run))
+    out_dir = tmp_path / "out"
+    argv = ["--workload", "cli-oneshot", "--seed", "1", "--out-dir", str(out_dir)]
+    for first, second in ((checkout, twin), (twin, checkout)):
+        with pytest.raises(SystemExit) as exc:
+            bench_record.main(["--checkout", str(first), "--checkout", str(second), *argv])
+        assert exc.value.code == (
+            f"error: {twin.resolve()} holds __pycache__ under src/ and {checkout.resolve()} "
+            "does not; remove it so that every checkout imports alike"
+        )
+    assert not ran and not out_dir.exists()
+
+    # Bytecode in both checkouts compares alike.
+    shutil.copytree(cache, checkout / "src" / "pkg" / "__pycache__")
+    assert bench_record.main(["--checkout", str(checkout), "--checkout", str(twin), *argv]) == 0
+    assert len(ran) == 2
 
 
 def _completed(returncode, stdout, stderr):

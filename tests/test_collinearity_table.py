@@ -32,7 +32,7 @@ from eventposet import (
 from eventposet import structure
 from eventposet.structure import _collinearity_table
 from eventposet.verify import run_all
-from oracles import matching_cases
+from oracles import bad_ids, matching_cases
 
 _SIDE = {
     CollinearityCase.I: Betweenness.P_SIDE,
@@ -123,9 +123,9 @@ def test_table_matches_per_event_reference(data):
         for first, second in ((p, q), (q, p), (p, p)):
             for x in host.events():
                 _agrees(x, first, second)
-        for bad in (True, -1, host.event_count, "0", 1.0):
+        for bad, message in bad_ids(host.event_count):
             for reader in (collinearity_case, betweenness_of, is_properly_collinear):
-                with pytest.raises(InvalidIdError):
+                with pytest.raises(InvalidIdError, match=message):
                     reader(bad, p, q)
 
 

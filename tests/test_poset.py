@@ -106,6 +106,13 @@ def test_event_ids_are_plain_ints_within_the_poset(bad):
     for relation in ((bad, 2), (2, bad)):
         with pytest.raises(InvalidIdError, match=f"event id {bad!r} not in 0..2"):
             build_poset(3, [(0, 1), relation])
+    # Each order query refuses the id before it reads a row.
+    for query in (poset.leq, poset.comparability):
+        for args in ((bad, 0), (0, bad)):
+            with pytest.raises(InvalidIdError, match=f"event id {bad!r} not in 0..2"):
+                query(*args)
+    with pytest.raises(InvalidIdError, match=f"event id {bad!r} not in 0..2"):
+        poset.above_bits(bad)
 
 
 def test_reverse_flips_order():

@@ -12,6 +12,7 @@ from eventposet import (
     Chain,
     InvalidIdError,
     NotQuantifiableError,
+    ValuedChain,
     ProjectionCase,
     backward_project,
     build_poset,
@@ -24,7 +25,8 @@ from eventposet import (
     quantify_event,
     standard_lattice,
 )
-from oracles import brute_backward, brute_forward, lattice_backward, lattice_forward
+from eventposet.projection import _project_both_ways
+from oracles import bad_ids, brute_backward, brute_forward, lattice_backward, lattice_forward
 
 
 def test_element_on_chain_projects_to_itself(lattice12):
@@ -225,10 +227,14 @@ def test_projection_table_matches_linear_scan(data):
             outcome = classify_projection(x, chain)
             assert (outcome.forward, outcome.backward) == (forward, backward)
             assert outcome.case is _ORACLE_CASE[forward is not None, backward is not None]
-        for bad in (True, False, -1, host.event_count, "0", 1.0):
-            for project in (forward_project, backward_project, classify_projection):
-                with pytest.raises(InvalidIdError):
+        valued = ValuedChain(chain, range(len(elements)))
+        for bad, message in bad_ids(host.event_count):
+            for project in (forward_project, backward_project, classify_projection,
+                            _project_both_ways):
+                with pytest.raises(InvalidIdError, match=message):
                     project(bad, chain)
+            with pytest.raises(InvalidIdError, match=message):
+                quantify_event(bad, valued)
 
 
 def test_concurrent_first_projections_agree(lattice12):
@@ -315,3 +321,49 @@ def test_outcomes_unpack_as_forward_and_backward(lattice12):
         assert (forward, backward) == (forward_project(x, chain), backward_project(x, chain))
         assert outcome == (forward, backward)
         assert outcome.case is _ORACLE_CASE[forward is not None, backward is not None]
+
+
+def _python_calls(fn, *args) -> int:
+    """The Python-level calls that ``fn(*args)`` makes, its own included:
+    the profiler's ``"call"`` events, which builtins do not raise."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_one_query_on_a_built_table_makes_few_python_calls(lattice12):
+    # A deterministic cost next to the wall-clock medians: a query is its own
+    # frame, the one row read and the one int rule; leq tests two ids.
+    chain = lattice12.chains["P"].chain
+    poset = lattice12.poset
+    x = lattice12.event(3, 1)
+    classify_projection(x, chain)
+    counts = {
+        fn.__name__: _python_calls(fn, *args)
+        for fn, args in (
+            (classify_projection, (x, chain)),
+            (forward_project, (x, chain)),
+            (backward_project, (x, chain)),
+            (_project_both_ways, (x, chain)),
+            (poset.leq, (x, 100)),
+            (poset.above_bits, (x,)),
+        )
+    }
+    assert counts == {
+        "classify_projection": 3,
+        "forward_project": 3,
+        "backward_project": 3,
+        "_project_both_ways": 3,
+        "leq": 3,
+        "above_bits": 2,
+    }

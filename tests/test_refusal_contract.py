@@ -85,6 +85,11 @@ def _one_chain_with_side(side):
     )
 
 
+def _lattice_chains(*names):
+    lattice = eventposet.standard_lattice(12, 12)
+    return [lattice.chains[name] for name in names]
+
+
 @pytest.mark.parametrize("call", [
     # The argument checks that raised a bare ValueError.
     pytest.param(lambda: eventposet.build_poset(-1, []), id="negative-count"),
@@ -145,6 +150,26 @@ def _one_chain_with_side(side):
                  id="chain-none-name"),
     pytest.param(lambda: eventposet.make_valued_chain(eventposet.chain_poset(3), (0, 1), (0, 1), 5),
                  id="chain-int-name"),
+    # Each raised an AttributeError on its object argument.
+    pytest.param(lambda: eventposet.quantify_event(0, None), id="quantify_event-none"),
+    pytest.param(lambda: eventposet.quantify_event(0, eventposet.standard_lattice(4, 4).chains["P"].chain),
+                 id="quantify_event-chain"),
+    *[pytest.param(lambda fn=fn: fn(None), id=f"{fn.__name__}-none")
+      for fn in (eventposet.interval_scalar, eventposet.scalar_length,
+                 eventposet.classify_interval, eventposet.from_coords,
+                 eventposet.format_poset_text)],
+    pytest.param(lambda: eventposet.lorentz_apply(None, eventposet.PairTransform(4, 1)),
+                 id="lorentz_apply-none-coords"),
+    pytest.param(lambda: eventposet.apply_pair_transform(None, eventposet.PairTransform(4, 1)),
+                 id="apply_pair_transform-none-pair"),
+    pytest.param(lambda: eventposet.apply_pair_transform(eventposet.pair(1, 1), None),
+                 id="apply_pair_transform-none-transform"),
+    *[pytest.param(lambda fn=fn: fn(0, *_lattice_chains("P", "Q")), id=f"{fn.__name__}-valued-chains")
+      for fn in (eventposet.collinearity_case, eventposet.betweenness_of)],
+    pytest.param(lambda: eventposet.detect_linear_relation(None, _lattice_chains("P")[0]),
+                 id="detect_linear_relation-none"),
+    pytest.param(lambda: eventposet.interval_pair_two_chains(None, *_lattice_chains("P", "Q")),
+                 id="interval_pair_two_chains-none"),
 ])
 def test_argument_checks_raise_invalid_argument_error(call):
     with pytest.raises(InvalidArgumentError):
@@ -162,6 +187,18 @@ def test_argument_checks_raise_invalid_argument_error(call):
     (lambda: eventposet.export_dot(None), "the poset to export must be a Poset, not NoneType"),
     (lambda: eventposet.Chain(eventposet.chain_poset(1), (0,), 5),
      "the name of a chain must be a str, not int"),
+    (lambda: eventposet.quantify_event(0, _lattice_chains("P")[0].chain),
+     "the valued chain to quantify on must be a ValuedChain, not Chain"),
+    (lambda: eventposet.lorentz_apply((1, 0), eventposet.PairTransform(4, 1)),
+     "spacetime coordinates must be a SpacetimeCoords, not tuple"),
+    (lambda: eventposet.betweenness_of(0, *_lattice_chains("P", "Q")),
+     "chain P of a chain pair must be a Chain, not ValuedChain"),
+    (lambda: eventposet.collinearity_case(0, _lattice_chains("P")[0].chain, None),
+     "chain Q of a chain pair must be a Chain, not NoneType"),
+    (lambda: eventposet.detect_linear_relation(_lattice_chains("S")[0], None),
+     "chain P of a linear relation must be a ValuedChain, not NoneType"),
+    (lambda: eventposet.interval_pair_two_chains((49, 90), *_lattice_chains("P", "Q")),
+     "the interval to quantify must be a GeneralizedInterval, not tuple"),
 ])
 def test_object_argument_refusals_name_the_argument_and_its_type(call, message):
     with pytest.raises(InvalidArgumentError) as exc:

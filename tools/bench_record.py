@@ -14,9 +14,10 @@ the git tree id of its files, untracked ones included and ignored ones
 left out. With several checkouts, the runs of one workload and seed follow
 each other, and the checkout that runs first rotates from seed to seed,
 so two checkouts make interleaved pairs with alternating order. A
-checkout that git cannot describe, or a run that fails, ends the tool
-with an ``error:`` line (exit 1); the runs before a failed run stay
-recorded.
+checkout that git cannot describe, checkouts of which some hold compiled
+bytecode (``__pycache__``) under ``src/`` and some do not, or a run that
+fails, ends the tool with an ``error:`` line (exit 1); the first two before
+any run, and the runs before a failed run stay recorded.
 
 ``--compare A B`` pairs the runs of the two records by workload, trace
 mode and seed, and prints for each metric both medians, the ratio of B's
@@ -70,6 +71,16 @@ def describe(checkout: Path) -> tuple[str, str, str]:
     if tree == git(checkout, "rev-parse", "HEAD^{tree}"):
         return commit, tree, commit
     return commit, tree, f"{commit}+{tree[:10]}"
+
+
+def holds_bytecode(checkout: Path) -> bool:
+    """Whether ``checkout`` holds a ``__pycache__`` directory under ``src/``.
+
+    A checkout that does imports its package without compiling it, so its
+    import-bound metrics (``setup_s`` first) would not compare with one that
+    does not.
+    """
+    return any((checkout / "src").rglob("__pycache__"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -131,6 +142,12 @@ def record(args) -> int:
             sys.exit(f"error: {targets[path][0]} and {checkout} hold the same tree; "
                      f"both would record to {path.name}")
         targets[path] = (checkout, load_record(path, commit, tree, label))
+    compiled = {checkout: holds_bytecode(checkout) for checkout, _ in targets.values()}
+    if len(set(compiled.values())) > 1:
+        holder = next(c for c, held in compiled.items() if held)
+        other = next(c for c, held in compiled.items() if not held)
+        sys.exit(f"error: {holder} holds __pycache__ under src/ and {other} does not; "
+                 "remove it so that every checkout imports alike")
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     order = list(targets.items())
     for workload in args.workload:
