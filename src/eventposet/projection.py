@@ -66,11 +66,8 @@ def _projection_table(chain: Chain) -> _Table:
     The table of a chain is built on first use and cached on it. A
     ``chain`` that is not a Chain raises InvalidArgumentError.
     """
-    try:
-        table = chain._projections
-    except AttributeError:
-        _check_type(chain, Chain, "the chain to project onto")
-        raise
+    _check_type(chain, Chain, "the chain to project onto")
+    table = chain._projections
     if table is None:
         # Stored whole in one assignment, so a concurrent reader sees no
         # table or a complete one.
