@@ -103,7 +103,12 @@ def _as_tuple(items, what: str) -> tuple:
 
 
 def _check_type(value, kind: type, what: str) -> None:
-    """InvalidArgumentError naming ``what`` unless ``value`` is a ``kind``."""
+    """InvalidArgumentError naming ``what`` unless ``value`` is a ``kind``.
+
+    The one refusal rule for object arguments: the first function on a
+    call's path that reads an object argument checks it with this call
+    before any other read, so a wrong type never ends in an AttributeError.
+    """
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise InvalidArgumentError(
@@ -157,6 +162,8 @@ def _check_index_range(chain: Chain | ValuedChain, lo: int, hi: int, window=None
 
 
 def _check_same_poset(a: Chain, b: Chain) -> None:
+    _check_type(a, Chain, "a chain compared with another")
+    _check_type(b, Chain, "a chain compared with another")
     if a.poset is not b.poset:
         raise DifferentChainsError(
             f"chains {a.name!r} and {b.name!r} live on different posets"
@@ -232,8 +239,7 @@ class ValuedChain:
     """A chain together with an isotonic rational valuation.
 
     ``values`` may be any iterable; each value is read by
-    :func:`as_fraction`. A ``chain`` that is not a Chain raises
-    InvalidArgumentError.
+    :func:`as_fraction`.
 
     The private field caches the one coordination proof per partner chain
     and windows (see :func:`eventposet.structure._coordination_refusal`),
@@ -315,8 +321,7 @@ def make_valued_chain(
 
 @dataclass(frozen=True)
 class ClosedInterval:
-    """Indices ``lo..hi`` into a valued chain, endpoints included; a
-    ``valued_chain`` that is not a ValuedChain raises InvalidArgumentError."""
+    """Indices ``lo..hi`` into a valued chain, endpoints included."""
 
     valued_chain: ValuedChain
     lo_index: int
@@ -329,6 +334,7 @@ class ClosedInterval:
 
 def interval_length(interval: ClosedInterval) -> Fraction:
     """Difference of the endpoint values."""
+    _check_type(interval, ClosedInterval, "a closed interval")
     vc = interval.valued_chain
     return vc.values[interval.hi_index] - vc.values[interval.lo_index]
 
@@ -338,6 +344,8 @@ def join_closed_intervals(first: ClosedInterval, second: ClosedInterval) -> Clos
 
     ``first`` must end where ``second`` starts, on the same valued chain.
     """
+    _check_type(first, ClosedInterval, "the first closed interval")
+    _check_type(second, ClosedInterval, "the second closed interval")
     if first.valued_chain is not second.valued_chain:
         raise DifferentChainsError("closed intervals live on different chains")
     if first.hi_index != second.lo_index:

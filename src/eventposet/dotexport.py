@@ -28,8 +28,7 @@ def export_dot(
     chains: Mapping[str, ValuedChain] | None = None,
     mode: str = "hasse",
 ) -> str:
-    """The DOT text of ``poset`` in ``mode``; a ``poset`` that is not a
-    Poset raises InvalidArgumentError."""
+    """The DOT text of ``poset`` in ``mode``."""
     _check_type(poset, Poset, "the poset to export")
     if mode == "hasse":
         return _hasse(poset, chains or {})

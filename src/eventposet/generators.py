@@ -20,7 +20,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from .chains import ValuedChain, make_valued_chain
+from .chains import ValuedChain, _check_type, make_valued_chain
 from .errors import ChainEscapesWindowError, EmptyWindowError, InvalidArgumentError
 from .poset import EventId, Poset, _check_event_count, _is_index, build_poset
 
@@ -105,6 +105,7 @@ def generate_lattice(spec: LatticeSpec) -> Lattice:
     elements are emitted tick by tick until the window edge; the valuation
     is the tick index, one unit per tick.
     """
+    _check_type(spec, LatticeSpec, "the lattice spec")
     relations = []
     for u in range(spec.u_max):
         for v in range(spec.v_max):
@@ -238,6 +239,7 @@ def generate_random(seed: int, n_events: int, edge_density: float) -> Poset:
 
 def maximal_chains(poset: Poset, seed: int, count: int) -> list[tuple[EventId, ...]]:
     """Sample ``count`` maximal chains by random walks along cover edges."""
+    _check_type(poset, Poset, "the poset to walk")
     if not _is_index(count, math.inf):
         raise InvalidArgumentError(f"count {count!r} is not an int >= 0")
     rng = _seeded_rng(seed)

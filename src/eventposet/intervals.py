@@ -156,6 +156,7 @@ def interval_pair_one_chain(
     (forward length, backward length); with the chain straddled the
     projections cross over.
     """
+    _check_type(interval, GeneralizedInterval, "the interval to quantify")
     fa, ba = quantify_event(interval.a, p)
     fb, bb = quantify_event(interval.b, p)
     straddles = _on_p_side(side_a) != _on_p_side(side_b)
@@ -176,11 +177,8 @@ def _two_chain_images(
     The chains must be coordinated and the endpoints between them, which
     gives each endpoint its projections onto both chains.
     """
-    try:
-        a, b = interval.a, interval.b
-    except AttributeError:
-        _check_type(interval, GeneralizedInterval, "the interval to quantify")
-        raise
+    _check_type(interval, GeneralizedInterval, "the interval to quantify")
+    a, b = interval.a, interval.b
     _require_coordinated(p, q, None, None)
     # Both ids are checked before either endpoint's side is read.
     p.poset.check_id(a)
@@ -213,14 +211,10 @@ def _half_sum_and_difference(p: IntervalPair) -> tuple[Fraction, Fraction, bool]
 
     The one place that computes them: from the components' integer ratios,
     so each half is a single normalized Fraction. A caller rounds, by
-    :func:`_rounded`, only the halves it returns. A ``p`` that is not an
-    IntervalPair raises InvalidArgumentError.
+    :func:`_rounded`, only the halves it returns.
     """
-    try:
-        first, second = p.first, p.second
-    except AttributeError:
-        _check_type(p, IntervalPair, "an interval pair")
-        raise
+    _check_type(p, IntervalPair, "an interval pair")
+    first, second = p.first, p.second
     n1, d1 = first.as_integer_ratio()
     n2, d2 = second.as_integer_ratio()
     a, b, den = n1 * d2, n2 * d1, 2 * d1 * d2
@@ -257,8 +251,8 @@ def chain_distance(
     outside their window are refused with OutOfRangeError, as are windows
     that are not index ranges of their chains.
     """
-    p_range, q_range = _checked_window(p, p_range), _checked_window(q, q_range)
     _require_coordinated(p, q, p_range, q_range)
+    p_range, q_range = _checked_window(p, p_range), _checked_window(q, q_range)
     for vc, event, (lo, hi) in ((p, p_event, p_range), (q, q_event, q_range)):
         index = vc.index_of(event)
         if index is None:
@@ -304,11 +298,8 @@ def classify_interval(p: IntervalPair) -> IntervalClassification:
     """Like signs are chain-like, opposite antichain-like, a zero component
     projection-like, read on the exact values. Pure means equal magnitudes;
     the (0, 0) pair counts as pure projection-like."""
-    try:
-        (first, second), _ = _exact(p.first, p.second)
-    except AttributeError:
-        _check_type(p, IntervalPair, "an interval pair")
-        raise
+    _check_type(p, IntervalPair, "an interval pair")
+    (first, second), _ = _exact(p.first, p.second)
     return IntervalClassification(
         _kind_of_scalar(first * second), abs(first) == abs(second)
     )
@@ -330,6 +321,10 @@ def join_intervals(
     Pairs quantified against different chains or bases describe distinct
     subspaces and do not add; such joins are refused.
     """
+    _check_type(first, GeneralizedInterval, "the first interval")
+    _check_type(first_pair, IntervalPair, "the first interval pair")
+    _check_type(second, GeneralizedInterval, "the second interval")
+    _check_type(second_pair, IntervalPair, "the second interval pair")
     if first.b != second.a:
         raise NoSharedEndpointError(
             f"intervals [{first.a}, {first.b}] and [{second.a}, {second.b}] "

@@ -144,13 +144,8 @@ def quantify_event(x: EventId, valued_chain: ValuedChain) -> tuple[Fraction, Fra
     """Chain-based coordinates ``(v(forward), v(backward))`` of ``x``.
 
     Only elements that project in both directions carry coordinates on
-    this chain; anything else is outside its coordinate patch. A
-    ``valued_chain`` that is not a ValuedChain raises InvalidArgumentError.
+    this chain; anything else is outside its coordinate patch.
     """
-    try:
-        chain = valued_chain.chain
-    except AttributeError:
-        _check_type(valued_chain, ValuedChain, "the valued chain to quantify on")
-        raise
-    forward, backward = _project_both_ways(x, chain)
+    _check_type(valued_chain, ValuedChain, "the valued chain to quantify on")
+    forward, backward = _project_both_ways(x, valued_chain.chain)
     return valued_chain.value_of(forward), valued_chain.value_of(backward)

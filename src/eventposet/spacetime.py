@@ -147,22 +147,16 @@ def _sqrt(value: Fraction) -> Fraction | float:
 
 def interval_scalar(p: IntervalPair) -> ScalarResult:
     """Product of the pair components, with its causal character."""
-    try:
-        (first, second), inexact = _exact(p.first, p.second)
-    except AttributeError:
-        _check_type(p, IntervalPair, "an interval pair")
-        raise
+    _check_type(p, IntervalPair, "an interval pair")
+    (first, second), inexact = _exact(p.first, p.second)
     value = _rounded(first * second, inexact)
     return ScalarResult(value, _CHARACTER_OF_KIND[_kind_of_scalar(value)])
 
 
 def scalar_length(p: IntervalPair) -> ScalarLength:
     """sqrt(first * second); imaginary for antichain-like pairs."""
-    try:
-        (first, second), inexact = _exact(p.first, p.second)
-    except AttributeError:
-        _check_type(p, IntervalPair, "an interval pair")
-        raise
+    _check_type(p, IntervalPair, "an interval pair")
+    (first, second), inexact = _exact(p.first, p.second)
     product = first * second
     return ScalarLength(_rounded(_sqrt(abs(product)), inexact), product < 0)
 
@@ -185,12 +179,9 @@ def detect_linear_relation(s: ValuedChain, p: ValuedChain) -> PairTransform:
     steps (coarse graining) must project to zero-length steps. A null pair,
     with m or n zero, is refused with DegenerateTransformError.
     """
-    try:
-        _check_same_poset(s.chain, p.chain)
-    except AttributeError:
-        _check_type(s, ValuedChain, "chain S of a linear relation")
-        _check_type(p, ValuedChain, "chain P of a linear relation")
-        raise
+    _check_type(s, ValuedChain, "chain S of a linear relation")
+    _check_type(p, ValuedChain, "chain P of a linear relation")
+    _check_same_poset(s.chain, p.chain)
     if len(s) < 2:
         raise NotLinearlyRelatedError(
             f"chain {s.name!r} has no steps to compare"
@@ -239,16 +230,12 @@ def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
     but names no chains: the source chains did not quantify it, so it
     joins other transported pairs but not the pairs of those chains.
     """
-    try:
-        m, n, first, second = t.m, t.n, p.first, p.second
-    except AttributeError:
-        _check_type(p, IntervalPair, "an interval pair")
-        _check_type(t, PairTransform, "a pair transform")
-        raise
-    factor = _sqrt(m / n)
+    _check_type(p, IntervalPair, "an interval pair")
+    _check_type(t, PairTransform, "a pair transform")
+    factor = _sqrt(t.m / t.n)
     # Each component is rounded only if it or the factor is a float.
-    (first, exact_factor), first_inexact = _exact(first, factor)
-    (second, _), second_inexact = _exact(second, factor)
+    (first, exact_factor), first_inexact = _exact(p.first, factor)
+    (second, _), second_inexact = _exact(p.second, factor)
     return IntervalPair(
         _rounded(first * exact_factor, first_inexact),
         _rounded(second / exact_factor, second_inexact),
@@ -258,11 +245,8 @@ def apply_pair_transform(p: IntervalPair, t: PairTransform) -> IntervalPair:
 
 def beta(t: PairTransform) -> Fraction:
     """(m - n) / (m + n): the emergent relative speed, always exact."""
-    try:
-        m, n = t.m, t.n
-    except AttributeError:
-        _check_type(t, PairTransform, "a pair transform")
-        raise
+    _check_type(t, PairTransform, "a pair transform")
+    m, n = t.m, t.n
     # One Fraction from the four ints: (ad - cb) / (ad + cb) for m = a/b, n = c/d.
     ad, cb = m.numerator * n.denominator, n.numerator * m.denominator
     return Fraction(ad - cb, ad + cb)
@@ -291,12 +275,9 @@ def lorentz_matrix(
 
 def compose_transforms(t1: PairTransform, t2: PairTransform) -> PairTransform:
     """Componentwise product; betas combine by the velocity addition rule."""
-    try:
-        return PairTransform(t1.m * t2.m, t1.n * t2.n)
-    except AttributeError:
-        _check_type(t1, PairTransform, "the first pair transform")
-        _check_type(t2, PairTransform, "the second pair transform")
-        raise
+    _check_type(t1, PairTransform, "the first pair transform")
+    _check_type(t2, PairTransform, "the second pair transform")
+    return PairTransform(t1.m * t2.m, t1.n * t2.n)
 
 
 def to_coords(p: IntervalPair) -> SpacetimeCoords:
@@ -305,11 +286,8 @@ def to_coords(p: IntervalPair) -> SpacetimeCoords:
 
 
 def from_coords(coords: SpacetimeCoords) -> IntervalPair:
-    try:
-        (dt, dx), inexact = _exact(coords.dt, coords.dx)
-    except AttributeError:
-        _check_type(coords, SpacetimeCoords, "spacetime coordinates")
-        raise
+    _check_type(coords, SpacetimeCoords, "spacetime coordinates")
+    (dt, dx), inexact = _exact(coords.dt, coords.dx)
     return IntervalPair(_rounded(dt + dx, inexact), _rounded(dt - dx, inexact))
 
 
@@ -318,12 +296,9 @@ def lorentz_apply(coords: SpacetimeCoords, t: PairTransform) -> SpacetimeCoords:
     route. Computed as gamma * (dt + beta * dx) and gamma * (dx + beta * dt)
     with the exact beta, so a float gamma is the only rounded operand.
     """
+    _check_type(coords, SpacetimeCoords, "spacetime coordinates")
     b = beta(t)
-    try:
-        (g, dt, dx), inexact = _exact(gamma(t), coords.dt, coords.dx)
-    except AttributeError:
-        _check_type(coords, SpacetimeCoords, "spacetime coordinates")
-        raise
+    (g, dt, dx), inexact = _exact(gamma(t), coords.dt, coords.dx)
     return SpacetimeCoords(_rounded(g * (dt + b * dx), inexact), _rounded(g * (dx + b * dt), inexact))
 
 
@@ -337,6 +312,8 @@ def pythagorean_join(
     cannot be read off the pairs themselves and must be asserted by the
     caller, who knows the subspaces.
     """
+    _check_type(a_pair, IntervalPair, "the first interval pair")
+    _check_type(b_pair, IntervalPair, "the second interval pair")
     if not orthogonal:
         raise NotOrthogonalError("pythagorean_join requires orthogonal subspaces")
     for p in (a_pair, b_pair):
@@ -398,6 +375,7 @@ def element_chain_distance(x: EventId, p: ValuedChain, ref: EventId) -> Fraction
     no orientation, so the sign is fixed (backward minus forward, halved)
     rather than side-dependent.
     """
+    _check_type(p, ValuedChain, "the valued chain to quantify on")
     if p.index_of(ref) is None:
         raise OutOfRangeError(f"reference {ref} is not on chain {p.name!r}")
     forward_value, backward_value = quantify_event(x, p)
@@ -411,6 +389,8 @@ def chain_separation(p: ValuedChain, q: ValuedChain) -> Fraction:
     Coordinated chains project onto each other, so by monotonicity the
     first element of each has a forward image on the other.
     """
+    _check_type(p, ValuedChain, "chain P of a valued chain pair")
+    _check_type(q, ValuedChain, "chain Q of a valued chain pair")
     return chain_distance(p, q, p.elements[0], q.elements[0])
 
 

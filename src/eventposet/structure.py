@@ -101,16 +101,11 @@ def _collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
 
     Built on first use and cached on ``p_chain``, keyed on the partner
     chain, which the cache holds weakly. Cases depend on the order alone,
-    so the key is a ``Chain``, not a valuation. Either chain that is not a
-    Chain raises InvalidArgumentError.
+    so the key is a ``Chain``, not a valuation.
     """
-    try:
-        cache = p_chain._collinearities
-    except AttributeError:
-        _check_type(p_chain, Chain, "chain P of a chain pair")
-        raise
+    _check_type(p_chain, Chain, "chain P of a chain pair")
     return _cached_per_partner(
-        cache,
+        p_chain._collinearities,
         q_chain,
         (),
         lambda: _build_collinearity_table(p_chain, q_chain),
@@ -293,6 +288,8 @@ def _coordination_refusal(
     on every call; the outcome of :func:`_prove_coordination` is cached on
     ``p`` per partner chain (held weakly) and windows.
     """
+    _check_type(p, ValuedChain, "chain P of a valued chain pair")
+    _check_type(q, ValuedChain, "chain Q of a valued chain pair")
     p_range, q_range = _checked_window(p, p_range), _checked_window(q, q_range)
     _check_same_poset(p.chain, q.chain)
     return _cached_per_partner(

@@ -79,11 +79,8 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
 
 
 def format_poset_text(poset: Poset, chains: Mapping[str, ValuedChain] | None = None) -> str:
-    try:
-        lines = [f"events {poset.event_count}"]
-    except AttributeError:
-        _check_type(poset, Poset, "the poset to format")
-        raise
+    _check_type(poset, Poset, "the poset to format")
+    lines = [f"events {poset.event_count}"]
     lines.extend(f"rel {a} {b}" for a, b in poset.cover_edges())
     for name in sorted(chains or {}):
         vc = chains[name]

@@ -7,7 +7,9 @@ what it caught. The CLI's argv signals are the only other raises: they end
 in exit code 2 or the process's exit status, never in a caller's hands.
 """
 import ast
+import collections.abc
 import importlib
+import inspect
 import typing
 from pathlib import Path
 
@@ -212,3 +214,139 @@ def test_invalid_arguments_are_value_errors_and_event_poset_errors():
     for window_error in (eventposet.EmptyWindowError, eventposet.ChainEscapesWindowError):
         assert issubclass(window_error, InvalidArgumentError)
     assert not issubclass(InvalidIdError, ValueError)
+
+
+# The library's object types: every parameter hinted with one of them is
+# refused, given something else, with InvalidArgumentError.
+OBJECT_TYPES = (
+    eventposet.Poset, eventposet.Chain, eventposet.ValuedChain, eventposet.ClosedInterval,
+    eventposet.LatticeSpec, eventposet.GeneralizedInterval, eventposet.IntervalPair,
+    eventposet.PairTransform, eventposet.SpacetimeCoords,
+)
+
+
+def _valid_arguments():
+    """A valid value for each parameter of the functions in the namespace,
+    by type, and by name where one type has several roles. On the 12x12
+    lattice, the first five elements of T lie between P and Q, S is
+    linearly related to P, and the events 49 and 90 lie between P and Q."""
+    lattice = eventposet.standard_lattice(12, 12)
+    p, q, s = (lattice.chains[name] for name in "PQS")
+    t = lattice.chains["T"].chain.subchain(0, 4)
+    pair = eventposet.pair
+    return {
+        eventposet.Poset: lattice.poset,
+        eventposet.Chain: {"x_chain": t, "b_chain": t, "q_chain": q.chain,
+                           "c_chain": q.chain, None: p.chain},
+        eventposet.ValuedChain: {"q": q, "s": s, None: p},
+        eventposet.ClosedInterval: {"second": eventposet.ClosedInterval(p, 1, 2),
+                                    None: eventposet.ClosedInterval(p, 0, 1)},
+        eventposet.LatticeSpec: eventposet.LatticeSpec(4, 4),
+        eventposet.GeneralizedInterval: {"second": eventposet.GeneralizedInterval(90, 103),
+                                         None: eventposet.GeneralizedInterval(49, 90)},
+        eventposet.IntervalPair: {"a_pair": pair(1, -1), "b_pair": pair(2, -2),
+                                  "first_pair": pair(1, 1), "second_pair": pair(1, 1),
+                                  None: pair(4, 1)},
+        eventposet.PairTransform: eventposet.PairTransform(4, 1),
+        eventposet.SpacetimeCoords: eventposet.SpacetimeCoords(1, 0),
+        eventposet.Betweenness: eventposet.Betweenness.P_SIDE,
+        bool: True,
+        int: {"y": 90, "b": 90, "p_event": p.elements[0], "q_event": q.elements[0],
+              "ref": p.elements[0], "seed": 0, "count": 1, None: 49},
+        collections.abc.Sequence: (0,),
+    }
+
+
+def _signature_cases():
+    """``(function, {parameter: its type})`` for each function of the
+    namespace that takes an object argument; a parameter with a default
+    keeps it unless its type is an object type."""
+    cases = []
+    for name, fn in sorted(vars(eventposet).items()):
+        if not inspect.isfunction(fn):
+            continue
+        hints = typing.get_type_hints(fn)
+        hints.pop("return", None)
+        if not any(hint in OBJECT_TYPES for hint in hints.values()):
+            continue
+        cases.append((fn, {
+            param.name: typing.get_origin(hints[param.name]) or hints[param.name]
+            for param in inspect.signature(fn).parameters.values()
+            if param.default is param.empty or hints[param.name] in OBJECT_TYPES
+        }))
+    return cases
+
+
+def _arguments(params: dict, valid: dict) -> dict:
+    arguments = {}
+    for name, kind in params.items():
+        value = valid[kind]
+        if isinstance(value, dict):
+            value = value.get(name, value[None])
+        arguments[name] = value
+    return arguments
+
+
+def _decoy(kind: type, valid: dict):
+    """A ValuedChain where a Chain is expected and the reverse; a tuple for
+    any other type."""
+    if kind is eventposet.Chain:
+        return valid[eventposet.ValuedChain][None]
+    if kind is eventposet.ValuedChain:
+        return valid[eventposet.Chain][None]
+    return (1, 1)
+
+
+SIGNATURE_CASES = _signature_cases()
+
+
+@pytest.mark.parametrize("fn, params", SIGNATURE_CASES,
+                         ids=[fn.__name__ for fn, _ in SIGNATURE_CASES])
+def test_valid_arguments_of_the_signature_test_are_accepted(fn, params):
+    fn(**_arguments(params, _valid_arguments()))
+
+
+@pytest.mark.parametrize("fn, params, name, decoy", [
+    pytest.param(fn, params, name, decoy, id=f"{fn.__name__}-{name}-{decoy}")
+    for fn, params in SIGNATURE_CASES
+    for name, kind in params.items() if kind in OBJECT_TYPES
+    for decoy in ("none", "decoy")
+])
+def test_every_object_parameter_refuses_another_type(fn, params, name, decoy):
+    valid = _valid_arguments()
+    arguments = _arguments(params, valid)
+    arguments[name] = None if decoy == "none" else _decoy(params[name], valid)
+    with pytest.raises(InvalidArgumentError):
+        fn(**arguments)
+
+
+def _checks_in_handlers(tree: ast.AST) -> list[int]:
+    """Lines of the ``except`` handlers in ``tree`` that call ``_check_type``:
+    the type of an object argument is checked up front, never after a
+    failed read."""
+    return [
+        handler.lineno
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler)
+        and any(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "_check_type"
+            for node in ast.walk(handler)
+        )
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_handler_checks_an_argument_type(path):
+    assert _checks_in_handlers(ast.parse(path.read_text())) == []
+
+
+def test_the_handler_guard_sees_a_check_after_a_failed_read():
+    tree = ast.parse(
+        "def f(p):\n"
+        "    try:\n"
+        "        return p.first\n"
+        "    except AttributeError:\n"
+        "        _check_type(p, IntervalPair, 'an interval pair')\n"
+        "        raise\n"
+    )
+    assert _checks_in_handlers(tree) == [4]
