@@ -8,13 +8,14 @@ to the identity, so the length of a closed interval is the difference of
 its endpoint values and is additive under joins. This module owns the
 one rule for an index range ``(lo, hi)`` of a chain
 (``_check_index_range``): windows, subchains and closed intervals all use it.
-It also owns the rule that two chains compared with each other live on one
-poset (``_check_same_poset``).
+It also owns the rules that two chains compared with each other live on one
+poset (``_check_same_poset``), and named chains on theirs (``_checked_chains``).
 """
 from __future__ import annotations
 
 import re
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -168,6 +169,20 @@ def _check_same_poset(a: Chain, b: Chain) -> None:
         raise DifferentChainsError(
             f"chains {a.name!r} and {b.name!r} live on different posets"
         )
+
+
+def _checked_chains(chains, poset: Poset) -> Mapping[str, ValuedChain]:
+    """``chains`` if it maps str names to ValuedChains on ``poset``; {} for None.
+    InvalidArgumentError for anything else, DifferentChainsError for another poset."""
+    if chains is None:
+        return {}
+    _check_type(chains, Mapping, "a chain mapping")
+    for name, vc in chains.items():
+        _check_type(name, str, "a chain name")
+        _check_type(vc, ValuedChain, f"chain {name!r}")
+        if vc.poset is not poset:
+            raise DifferentChainsError(f"chain {name!r} lives on another poset")
+    return chains
 
 
 @dataclass(frozen=True)

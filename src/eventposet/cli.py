@@ -48,7 +48,6 @@ from .spacetime import (
 )
 from .structure import (
     Betweenness,
-    _case_of,
     _collinearity_table,
     _side,
     betweenness_of,
@@ -155,13 +154,13 @@ def _cmd_project(args) -> int:
 
 def _cmd_classify(args) -> int:
     p, q = _chain_pair(args)
-    for event, matched in enumerate(_collinearity_table(p.chain, q.chain)):
-        if matched is None:
+    for event, case in enumerate(_collinearity_table(p.chain, q.chain)):
+        if case is None:
             print(f"{event} - -")
             continue
-        side = _side(matched)
+        side = _side(case)
         side_text = side.value if side is not Betweenness.NONE else "-"
-        print(f"{event} {_case_of(matched).value} {side_text}")
+        print(f"{event} {case.value} {side_text}")
     return 0
 
 

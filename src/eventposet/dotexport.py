@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .chains import ValuedChain, _check_type
+from .chains import ValuedChain, _check_type, _checked_chains
 from .errors import EventPosetError, InvalidArgumentError
 from .poset import Poset
 from .projection import forward_project
@@ -30,10 +30,11 @@ def export_dot(
 ) -> str:
     """The DOT text of ``poset`` in ``mode``."""
     _check_type(poset, Poset, "the poset to export")
+    chains = _checked_chains(chains, poset)
     if mode == "hasse":
-        return _hasse(poset, chains or {})
+        return _hasse(poset, chains)
     if mode == "geometric":
-        return _geometric(chains or {})
+        return _geometric(chains)
     raise InvalidArgumentError(f"unknown export mode {mode!r}")
 
 

@@ -22,7 +22,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .chains import IndexRange, ValuedChain, _check_type, _checked_window, as_fraction
+from .chains import IndexRange, ValuedChain, _as_tuple, _check_type, _checked_window, as_fraction
 from .errors import (
     BasisMismatchError,
     FloatRangeError,
@@ -97,18 +97,28 @@ class IntervalPair:
     """Two-component quantification of an interval.
 
     Components are exact rationals except downstream of an inexact pair
-    transform, where they may be floats. ``chains`` holds the quantifying
-    chain(s), when known; they are compared as chains, not by name.
+    transform, where they may be floats. ``basis`` is a PairBasis; ``chains``
+    holds the quantifying ValuedChains (or str labels), when known, as a tuple.
+    They are compared as chains, not by name.
     """
 
     first: Fraction | float
     second: Fraction | float
     basis: PairBasis = PairBasis.TWO_CHAIN
-    chains: tuple[ValuedChain, ...] = ()
+    chains: tuple[ValuedChain | str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "first", _component(self.first))
         object.__setattr__(self, "second", _component(self.second))
+        _check_type(self.basis, PairBasis, "the basis of an interval pair")
+        if self.chains != ():
+            chains = _as_tuple(self.chains, "interval pair chains")
+            if not all(isinstance(c, (ValuedChain, str)) for c in chains):
+                kinds = [type(c).__name__ for c in chains]
+                raise InvalidArgumentError(
+                    f"interval pair chains must be ValuedChains or strs, not {kinds}"
+                )
+            object.__setattr__(self, "chains", chains)
 
     @property
     def is_symmetric(self) -> bool:

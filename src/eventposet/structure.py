@@ -18,12 +18,15 @@ All classification here is per element, from that element's own
 projections; twists hidden between an element's projections would only be
 visible through other elements and are deliberately not searched for. The
 first classification against an ordered chain pair classifies every event
-at once (see ``_collinearity_table``) and caches that table on the first
-chain; every reader of a case or a side reads it.
+at once: ``_collinearity_table`` holds each event's case, cached on the
+first chain, and every reader of a case or a side reads it. One evaluator
+of the identity blocks, ``_matching_cases``, serves that table and
+``verify``'s uniqueness check.
 """
 from __future__ import annotations
 
 from enum import Enum
+from typing import Iterator
 
 from .chains import (
     Chain,
@@ -92,12 +95,12 @@ _CASE_IDENTITIES = (
 )
 
 
-_CaseTable = list[tuple[CollinearityCase, ...] | None]
+_CaseTable = list[CollinearityCase | None]
 
 
 def _collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
-    """The matched cases of every event against (P, Q), indexed by event;
-    None where one of the event's four direct projections is missing.
+    """The case of every event against (P, Q), indexed by event; None
+    where one of the event's four direct projections is missing.
 
     Built on first use and cached on ``p_chain``, keyed on the partner
     chain, which the cache holds weakly. Cases depend on the order alone,
@@ -112,36 +115,29 @@ def _collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
     )
 
 
-def _build_collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
-    """``_CASE_IDENTITIES`` evaluated for every event over the projection
-    tables of the two chains, so each composite projection is a list read."""
+def _slot_images(p_chain: Chain, q_chain: Chain) -> list[list[EventId | None]]:
+    """The projection of every event, per slot of ``_CASE_IDENTITIES``."""
     _check_type(q_chain, Chain, "chain Q of a chain pair")
     _check_same_poset(p_chain, q_chain)
-    # The projection of every event, per slot.
-    images = [*_projection_table(p_chain), *_projection_table(q_chain)]
-    # Entries share one tuple per distinct outcome, so a table costs a
-    # pointer per event.
-    interned: dict[tuple[CollinearityCase, ...], tuple[CollinearityCase, ...]] = {}
-    table: _CaseTable = []
-    for slots in zip(*images):
-        if None in slots:
-            table.append(None)
-            continue
-        matched = tuple(
-            case
-            for case, identities in _CASE_IDENTITIES
-            if all(
-                images[image][slots[argument]] == slots[lhs]
-                for lhs, image, argument in identities
-            )
-        )
-        table.append(interned.setdefault(matched, matched))
-    return table
+    return [*_projection_table(p_chain), *_projection_table(q_chain)]
 
 
-def _case_of(matched: tuple[CollinearityCase, ...]) -> CollinearityCase:
-    """The first matching case of a table entry, or NOT_COLLINEAR."""
-    return matched[0] if matched else CollinearityCase.NOT_COLLINEAR
+def _matching_cases(images: list, slots: tuple) -> Iterator[CollinearityCase]:
+    """The cases whose identities hold for the event with projections
+    ``slots``, in case order; each composite projection is a list read."""
+    for case, identities in _CASE_IDENTITIES:
+        if all(images[image][slots[arg]] == slots[lhs] for lhs, image, arg in identities):
+            yield case
+
+
+def _build_collinearity_table(p_chain: Chain, q_chain: Chain) -> _CaseTable:
+    """The first matching case of every event, or NOT_COLLINEAR."""
+    images = _slot_images(p_chain, q_chain)
+    return [
+        None if None in slots
+        else next(_matching_cases(images, slots), CollinearityCase.NOT_COLLINEAR)
+        for slots in zip(*images)
+    ]
 
 
 def collinearity_case(x: EventId, p_chain: Chain, q_chain: Chain) -> CollinearityCase:
@@ -154,12 +150,12 @@ def collinearity_case(x: EventId, p_chain: Chain, q_chain: Chain) -> Collinearit
     table = _collinearity_table(p_chain, q_chain)
     if not _is_index(x, len(table)):
         p_chain.poset.check_id(x)
-    matched = table[x]
-    if matched is None:
+    case = table[x]
+    if case is None:
         # One of these raises, naming the chain and the case of x.
         _project_both_ways(x, p_chain)
         _project_both_ways(x, q_chain)
-    return _case_of(matched)
+    return case
 
 
 _BETWEENNESS_OF_CASE = {
@@ -169,16 +165,13 @@ _BETWEENNESS_OF_CASE = {
 }
 
 
-def _side(matched: tuple[CollinearityCase, ...] | None) -> Betweenness | None:
-    """The side of a table entry; None where a projection is missing."""
-    if matched is None:
-        return None
-    return _BETWEENNESS_OF_CASE.get(_case_of(matched), Betweenness.NONE)
+def _side(case: CollinearityCase | None) -> Betweenness | None:
+    """The side of a case; None where a projection is missing."""
+    return None if case is None else _BETWEENNESS_OF_CASE.get(case, Betweenness.NONE)
 
 
 def betweenness_of(x: EventId, p_chain: Chain, q_chain: Chain) -> Betweenness:
-    case = collinearity_case(x, p_chain, q_chain)
-    return _BETWEENNESS_OF_CASE.get(case, Betweenness.NONE)
+    return _side(collinearity_case(x, p_chain, q_chain))
 
 
 def is_properly_collinear(x: EventId, p_chain: Chain, q_chain: Chain) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .chains import ValuedChain, _check_type, _parse_rational, make_valued_chain
+from .chains import ValuedChain, _check_type, _checked_chains, _parse_rational, make_valued_chain
 from .errors import FormatError
 from .poset import Poset, _check_event_count, build_poset
 
@@ -80,9 +80,10 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
 
 def format_poset_text(poset: Poset, chains: Mapping[str, ValuedChain] | None = None) -> str:
     _check_type(poset, Poset, "the poset to format")
+    chains = _checked_chains(chains, poset)
     lines = [f"events {poset.event_count}"]
     lines.extend(f"rel {a} {b}" for a, b in poset.cover_edges())
-    for name in sorted(chains or {}):
+    for name in sorted(chains):
         vc = chains[name]
         elements = " ".join(str(e) for e in vc.elements)
         values = " ".join(str(v) for v in vc.values)

@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .chains import Chain, ClosedInterval, ValuedChain, interval_length
+from .chains import Chain, ClosedInterval, ValuedChain, _check_type, _checked_chains, interval_length
 from .errors import EventPosetError, MissingProjectionError, OutOfRangeError
 from .generators import (
     Lattice,
@@ -67,9 +67,10 @@ from .spacetime import (
 )
 from .structure import (
     Betweenness,
-    _case_of,
     _collinearity_table,
+    _matching_cases,
     _side,
+    _slot_images,
     check_coordinated,
 )
 from .textio import format_poset_text, parse_poset_text
@@ -290,9 +291,11 @@ def _check_collinearity_unique(lattice: Lattice) -> list[str]:
             # Intersecting chains degenerate the same way: projections
             # landing on a shared element satisfy two identity blocks.
             continue
-        for x, matched in enumerate(_collinearity_table(p.chain, q.chain)):
-            if x in on_chain or matched is None:
+        images = _slot_images(p.chain, q.chain)
+        for x, slots in enumerate(zip(*images)):
+            if x in on_chain or None in slots:
                 continue
+            matched = list(_matching_cases(images, slots))
             if len(matched) > 1:
                 bad.append(
                     f"event {x} matches cases "
@@ -310,12 +313,11 @@ def _check_self_duality(lattice: Lattice) -> list[str]:
         q_rev = Chain(reversed_poset, q.elements[::-1], q.name)
         direct_table = _collinearity_table(p.chain, q.chain)
         dual_table = _collinearity_table(p_rev, q_rev)
-        for x, (direct, dual) in enumerate(zip(direct_table, dual_table)):
-            if direct is None or dual is None:
+        for x, (want, got) in enumerate(zip(direct_table, dual_table)):
+            if want is None or got is None:
                 continue
             # Order reversal maps the cases with a side to themselves (IV and V swap).
-            want, got = _case_of(direct), _case_of(dual)
-            if _side(direct) is not Betweenness.NONE and got is not want:
+            if _side(want) is not Betweenness.NONE and got is not want:
                 bad.append(
                     f"event {x} flips from {want.value} to {got.value} "
                     f"under order reversal against {a}, {b}"
@@ -443,7 +445,7 @@ def _check_distance_constancy(lattice: Lattice) -> list[str]:
 def _between_events(p: ValuedChain, q: ValuedChain) -> list[int]:
     """Events between (P, Q), in event order; unclassifiable ones are not."""
     table = _collinearity_table(p.chain, q.chain)
-    return [x for x, matched in enumerate(table) if _side(matched) is Betweenness.BETWEEN]
+    return [x for x, case in enumerate(table) if _side(case) is Betweenness.BETWEEN]
 
 
 def _two_chain_pairs(
@@ -653,7 +655,7 @@ def _check_text_roundtrip(poset: Poset, chains: dict[str, ValuedChain]) -> list[
 
 def run_for(
     poset: Poset,
-    chains: dict[str, ValuedChain],
+    chains: Mapping[str, ValuedChain] | None,
     report: Callable[[str], None] = print,
 ) -> list[CheckResult]:
     """Run the structure-agnostic checks against one poset.
@@ -663,6 +665,8 @@ def run_for(
     configurations and run through :func:`run_all` instead. The three
     chain checks run only when the poset comes with chains.
     """
+    _check_type(poset, Poset, "the poset to verify")
+    chains = _checked_chains(chains, poset)
     checks = [
         ("order-axioms", _check_order_axioms, poset),
         ("reduction-roundtrip", _check_reduction_roundtrip, poset),

@@ -30,7 +30,7 @@ from eventposet import (
     standard_lattice,
 )
 from eventposet import structure
-from eventposet.structure import _collinearity_table
+from eventposet.structure import _collinearity_table, _matching_cases, _slot_images
 from eventposet.verify import run_all
 from oracles import bad_ids, matching_cases
 
@@ -68,12 +68,15 @@ def _classified(x, p, q):
 def _agrees(x, p, q):
     reference = _reference(x, p, q)
     entry = _collinearity_table(p, q)[x]
+    images = _slot_images(p, q)
+    slots = tuple(image[x] for image in images)
     if isinstance(reference, str):
-        assert entry is None
+        assert entry is None and None in slots
         assert _classified(x, p, q) == reference
     else:
-        assert entry == reference
+        assert tuple(_matching_cases(images, slots)) == reference
         want = reference[0] if reference else CollinearityCase.NOT_COLLINEAR
+        assert isinstance(entry, CollinearityCase) and entry is want
         assert _classified(x, p, q) is want
 
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import eventposet
-from eventposet import EventPosetError, InvalidArgumentError, InvalidIdError
+from eventposet import DifferentChainsError, EventPosetError, InvalidArgumentError, InvalidIdError
+from eventposet import verify
 
 SOURCES = sorted(Path(eventposet.__file__).parent.glob("*.py"))
 
@@ -172,6 +173,15 @@ def _lattice_chains(*names):
                  id="detect_linear_relation-none"),
     pytest.param(lambda: eventposet.interval_pair_two_chains(None, *_lattice_chains("P", "Q")),
                  id="interval_pair_two_chains-none"),
+    # Each raised an AttributeError later, or was kept as it came.
+    pytest.param(lambda: eventposet.IntervalPair(1, 1, None), id="interval-pair-none-basis"),
+    pytest.param(lambda: eventposet.IntervalPair(1, 1, chains=5), id="interval-pair-int-chains"),
+    pytest.param(lambda: eventposet.IntervalPair(1, 1, chains=(None,)),
+                 id="interval-pair-none-chain"),
+    # The geometric view drew a node for a chain that was not one.
+    pytest.param(lambda: eventposet.export_dot(eventposet.chain_poset(2), {"a": None},
+                                               mode="geometric"),
+                 id="geometric-export-none-chain"),
 ])
 def test_argument_checks_raise_invalid_argument_error(call):
     with pytest.raises(InvalidArgumentError):
@@ -225,6 +235,12 @@ OBJECT_TYPES = (
 )
 
 
+# The hint of a parameter that takes named chains; every such parameter
+# refuses a mapping that is not one of str names to valued chains on the
+# poset of the call.
+CHAIN_MAPPING = typing.Optional[typing.Mapping[str, eventposet.ValuedChain]]
+
+
 def _valid_arguments():
     """A valid value for each parameter of the functions in the namespace,
     by type, and by name where one type has several roles. On the 12x12
@@ -254,25 +270,32 @@ def _valid_arguments():
         int: {"y": 90, "b": 90, "p_event": p.elements[0], "q_event": q.elements[0],
               "ref": p.elements[0], "seed": 0, "count": 1, None: 49},
         collections.abc.Sequence: (0,),
+        CHAIN_MAPPING: {None: lattice.chains},
     }
+
+
+def _kind(hint):
+    return CHAIN_MAPPING if hint == CHAIN_MAPPING else typing.get_origin(hint) or hint
 
 
 def _signature_cases():
     """``(function, {parameter: its type})`` for each function of the
-    namespace that takes an object argument; a parameter with a default
-    keeps it unless its type is an object type."""
+    namespace, and ``verify.run_for``, that takes an object argument; a
+    parameter with a default keeps it unless its type is an object type or
+    a chain mapping."""
     cases = []
-    for name, fn in sorted(vars(eventposet).items()):
-        if not inspect.isfunction(fn):
-            continue
+    functions = [fn for _, fn in sorted(vars(eventposet).items()) if inspect.isfunction(fn)]
+    for fn in [*functions, verify.run_for]:
         hints = typing.get_type_hints(fn)
         hints.pop("return", None)
         if not any(hint in OBJECT_TYPES for hint in hints.values()):
             continue
         cases.append((fn, {
-            param.name: typing.get_origin(hints[param.name]) or hints[param.name]
+            param.name: _kind(hints[param.name])
             for param in inspect.signature(fn).parameters.values()
-            if param.default is param.empty or hints[param.name] in OBJECT_TYPES
+            if param.default is param.empty
+            or hints[param.name] in OBJECT_TYPES
+            or _kind(hints[param.name]) is CHAIN_MAPPING
         }))
     return cases
 
@@ -317,6 +340,27 @@ def test_every_object_parameter_refuses_another_type(fn, params, name, decoy):
     arguments = _arguments(params, valid)
     arguments[name] = None if decoy == "none" else _decoy(params[name], valid)
     with pytest.raises(InvalidArgumentError):
+        fn(**arguments)
+
+
+@pytest.mark.parametrize("fn, params, name, decoy", [
+    pytest.param(fn, params, name, decoy, id=f"{fn.__name__}-{name}-{decoy}")
+    for fn, params in SIGNATURE_CASES
+    for name, kind in params.items() if kind is CHAIN_MAPPING
+    for decoy in ("int", "none-chain", "int-name", "other-poset")
+])
+def test_every_chain_mapping_parameter_refuses_another_mapping(fn, params, name, decoy):
+    valid = _valid_arguments()
+    arguments = _arguments(params, valid)
+    p = valid[eventposet.ValuedChain][None]
+    arguments[name], error = {
+        "int": (5, InvalidArgumentError),
+        "none-chain": ({"a": None}, InvalidArgumentError),
+        "int-name": ({1: p}, InvalidArgumentError),
+        "other-poset": ({"P": eventposet.standard_lattice(12, 12).chains["P"]},
+                        DifferentChainsError),
+    }[decoy]
+    with pytest.raises(error):
         fn(**arguments)
 
 

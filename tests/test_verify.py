@@ -88,8 +88,8 @@ def test_projection_monotonicity_sweep_reports_a_doctored_table():
     assert f"projection sandwich broken at {top} on 'P'" in bad
 
 
-def test_collinearity_sweeps_report_a_doctored_table():
-    from eventposet.structure import CollinearityCase, _collinearity_table
+def test_collinearity_sweeps_report_a_doctored_table(monkeypatch):
+    from eventposet.structure import CollinearityCase, _collinearity_table, _slot_images
 
     lattice = standard_lattice(8, 8)
     assert verify._check_collinearity_unique(lattice) == []
@@ -97,12 +97,18 @@ def test_collinearity_sweeps_report_a_doctored_table():
     p, q = lattice.chains["P"], lattice.chains["Q"]
     table = _collinearity_table(p.chain, q.chain)
     off_chains = set(lattice.poset.events()) - set(p.elements) - set(q.elements)
-    x = min(x for x in off_chains if table[x] == (CollinearityCase.II,))
+    x = min(x for x in off_chains if table[x] is CollinearityCase.II)
     # Two blocks at once, then a side the dual does not share.
-    table[x] = (CollinearityCase.II, CollinearityCase.III)
+    slots_of_x = tuple(image[x] for image in _slot_images(p.chain, q.chain))
+    matching = verify._matching_cases
+
+    def doctored(images, slots):
+        return [*matching(images, slots), *[CollinearityCase.III] * (slots == slots_of_x)]
+
+    monkeypatch.setattr(verify, "_matching_cases", doctored)
     bad = verify._check_collinearity_unique(lattice)
     assert f"event {x} matches cases ['II', 'III'] against P, Q" in bad
-    table[x] = (CollinearityCase.I,)
+    table[x] = CollinearityCase.I
     bad = verify._check_self_duality(lattice)
     assert f"event {x} flips from I to II under order reversal against P, Q" in bad
 
