@@ -5,11 +5,13 @@ loudly with the name of the violated invariant. The corpus is desk scale
 on purpose: every sweep is exhaustive over its window, so a pass is a
 proof for that configuration rather than a statistical argument.
 
-The order-axiom, projection-monotonicity and length-additivity checks
-first run a reduced test on whole closure rows or chain prefixes, whose
-pass implies that their exhaustive sweep finds nothing; a pass is still
-a proof over the whole window. The sweep runs only when the reduced test
-fails, and it alone names the violations, in the same order and words.
+The order-axiom and length-additivity checks first run a reduced test on
+whole closure rows or chain prefixes, whose pass implies that their
+exhaustive sweep finds nothing; a pass is still a proof over the whole
+window. The sweep runs only when the reduced test fails, and it alone
+names the violations, which show only pair by pair or split by split.
+Projection monotonicity is one pass over masks grouped by image, which
+both decides the check and names the violations.
 """
 from __future__ import annotations
 
@@ -170,13 +172,11 @@ def _is_partial_order(above: list[int], covers: Iterable[tuple[int, int]]) -> bo
     their own are antisymmetric. Each row must then equal its event joined
     with the rows of its cover hints ``(a, b)``, ``a != b``: so ``b``, in
     ``above[b]`` and so in ``above[a]``, is listed after ``a``, and from the
-    last listed event up each row is its event plus closed rows, so closed.
+    last listed event up each row is its event plus closed rows, so closed
+    and naming no event past the last one: no row needs a range test.
     The listing rules out hint cycles; self-loop hints would pass any row.
     """
     n = len(above)
-    # Rows naming an event past the last one are left to the sweep.
-    if any(row >> n for row in above):
-        return False
     listed = 0
     for x in sorted(range(n), key=lambda x: -above[x].bit_count()):
         if above[x] & listed:
@@ -213,70 +213,41 @@ def _check_projection_monotone(poset: Poset, chains: Iterable[Chain]) -> list[st
     # Projections are chain elements and the swept pairs come from closure
     # rows, so order is read off the rows directly.
     above = [poset.above_bits(x) for x in poset.events()]
-    chains = list(chains)
-    if all(_projections_monotone(above, chain) for chain in chains):
-        return []
     bad = []
     for chain in chains:
-        forwards = [forward_project(x, chain) for x in poset.events()]
-        backwards = [backward_project(x, chain) for x in poset.events()]
+        forwards, backwards = _projection_table(chain)
+        forward_breaking = _breaking_masks(above, forwards)
+        backward_breaking = _breaking_masks(above, backwards)
         for x, above_x in enumerate(above):
             fx, bx = forwards[x], backwards[x]
             if fx is not None and bx is not None and not above[bx] >> fx & 1:
                 bad.append(f"projection sandwich broken at {x} on {chain.name!r}")
-            for y in _iter_bits(above_x):
-                fy, by = forwards[y], backwards[y]
-                if fx is not None and fy is not None and not above[fx] >> fy & 1:
-                    bad.append(f"forward monotonicity broken at {x} <= {y}")
-                if bx is not None and by is not None and not above[bx] >> by & 1:
-                    bad.append(f"backward monotonicity broken at {x} <= {y}")
+            ahead = above_x & forward_breaking[fx]
+            behind = above_x & backward_breaking[bx]
+            if ahead or behind:
+                for y in _iter_bits(ahead | behind):
+                    if ahead >> y & 1:
+                        bad.append(f"forward monotonicity broken at {x} <= {y}")
+                    if behind >> y & 1:
+                        bad.append(f"backward monotonicity broken at {x} <= {y}")
     return bad
 
 
-def _projections_monotone(above: list[int], chain: Chain) -> bool:
-    """True only if the monotonicity sweep over ``chain`` finds nothing.
-
-    Once each row ``above[e_i]`` holds the chain suffix ``e_i..e_last``, an
-    image at chain index ``i`` is below every image at index ``i`` or
-    later. So a table is monotone when no row ``above[x]`` holds an event
-    whose image sits at a smaller index than the image of ``x``: one mask
-    test per event, against the events imaged below that index.
+def _breaking_masks(above: list[int], images: list[int | None]) -> dict[int | None, int]:
+    """For each image ``e`` in ``images``, the events whose image is not in
+    ``above[e]``: an event ``x`` imaged at ``e`` breaks monotonicity at each
+    ``y`` of ``above[x]`` in that mask. An absent image breaks nothing and is
+    in no mask.
     """
-    n = len(above)
-    table = _projection_table(chain)
-    # Rows or tables naming events past the last one are left to the sweep.
-    if any(row >> n for row in above) or any(len(images) != n for images in table):
-        return False
-    suffix = 0
-    for e in reversed(chain.elements):
-        suffix |= 1 << e
-        if above[e] & suffix != suffix:
-            return False
-    for images in table:
-        # Each event's image by chain index; an image off the chain fails.
-        at: list[int | None] = []
-        imaged = [0] * len(chain)
-        for x, image in enumerate(images):
-            if image is None:
-                at.append(None)
-                continue
-            i = chain.index_of(image)
-            if i is None:
-                return False
-            at.append(i)
-            imaged[i] |= 1 << x
-        below, mask = [], 0
-        for events in imaged:
-            below.append(mask)
-            mask |= events
-        for x, i in enumerate(at):
-            if i is not None and above[x] & below[i]:
-                return False
-    forward, backward = table
-    for f, b in zip(forward, backward):
-        if f is not None and b is not None and not above[b] >> f & 1:
-            return False
-    return True
+    imaged: dict[int, int] = {}
+    for y, c in enumerate(images):
+        if c is not None:
+            imaged[c] = imaged.get(c, 0) | 1 << y
+    # The groups are disjoint, so their sum is their union.
+    breaking: dict[int | None, int] = {None: 0}
+    for e in imaged:
+        breaking[e] = sum(events for c, events in imaged.items() if not above[e] >> c & 1)
+    return breaking
 
 
 def _check_collinearity_unique(lattice: Lattice) -> list[str]:
