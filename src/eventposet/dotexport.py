@@ -40,9 +40,9 @@ def export_dot(
 
 def _hasse(poset: Poset, chains: Mapping[str, ValuedChain]) -> str:
     member_of: dict[int, str] = {}
-    color_of: dict[str, str] = {}
+    style_of: dict[str, str] = {}
     for i, name in enumerate(sorted(chains)):
-        color_of[name] = _PALETTE[i % len(_PALETTE)]
+        style_of[name] = f"fillcolor={_PALETTE[i % len(_PALETTE)]}, group={_quoted(name)}"
         for event in chains[name].elements:
             member_of.setdefault(event, name)
 
@@ -50,10 +50,7 @@ def _hasse(poset: Poset, chains: Mapping[str, ValuedChain]) -> str:
     for event in poset.events():
         if event in member_of:
             name = member_of[event]
-            lines.append(
-                f'  "{event}" [label="{event}", style=filled, '
-                f'fillcolor={color_of[name]}, group="{name}"];'
-            )
+            lines.append(f'  "{event}" [label="{event}", style=filled, {style_of[name]}];')
         else:
             lines.append(f'  "{event}" [label="{event}"];')
     for a, b in poset.cover_edges():
@@ -113,11 +110,22 @@ def _geometric(chains: Mapping[str, ValuedChain]) -> str:
 
     lines = ["graph chains {", "  layout=neato;"]
     if skipped:
-        lines.append(f"  // not placed (no defined separation): {', '.join(skipped)}")
+        names = ", ".join(map(_quoted, skipped))
+        lines.append(f"  // not placed (no defined separation): {names}")
     for name in placed:
         lines.append(
-            f'  "{name}" [shape=circle, style=filled, fillcolor=gray25, '
+            f'  {_quoted(name)} [shape=circle, style=filled, fillcolor=gray25, '
             f'fontcolor=white, pos="{ranks[name]},0!"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _quoted(name: str) -> str:
+    """Chain ``name`` as a DOT quoted string, each ``"`` escaped. A name
+    ending in a backslash, which would escape the closing quote, or holding
+    a line break, which would end a ``//`` comment, raises InvalidArgumentError.
+    """
+    if name.endswith("\\") or "".join(name.splitlines()) != name:
+        raise InvalidArgumentError(f"chain name {name!r} cannot be written as a DOT string")
+    return '"' + name.replace('"', '\\"') + '"'

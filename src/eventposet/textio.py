@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .chains import ValuedChain, _check_type, _checked_chains, _parse_rational, make_valued_chain
-from .errors import FormatError
+from .errors import FormatError, InvalidArgumentError
 from .poset import Poset, _check_event_count, build_poset
 
 
@@ -29,10 +29,9 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
     chain_specs: list[tuple[str, list[int], list[Fraction]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = _tokens(raw)
+        if not tokens:
             continue
-        tokens = line.split()
         keyword = tokens[0]
         if keyword in ("rel", "chain") and event_count is None:
             raise FormatError(f"line {lineno}: {keyword!r} before 'events' header")
@@ -84,11 +83,18 @@ def format_poset_text(poset: Poset, chains: Mapping[str, ValuedChain] | None = N
     lines = [f"events {poset.event_count}"]
     lines.extend(f"rel {a} {b}" for a, b in poset.cover_edges())
     for name in sorted(chains):
+        if name == ":" or _tokens(name) != [name]:
+            raise InvalidArgumentError(f"chain name {name!r} is not one token of the text format")
         vc = chains[name]
         elements = " ".join(str(e) for e in vc.elements)
         values = " ".join(str(v) for v in vc.values)
         lines.append(f"chain {name} {elements} : {values}")
     return "\n".join(lines) + "\n"
+
+
+def _tokens(line: str) -> list[str]:
+    """The tokens of one line: its text before any ``#``, split on whitespace."""
+    return line.split("#", 1)[0].split()
 
 
 def _parse_int(token: str, lineno: int) -> int:

@@ -5,8 +5,9 @@ recomputed by linear scan over chain elements and, on lattices, from the
 closed-form coordinate bounds of the product order. The collinearity
 cases are spelled out from their definitions over the library's
 projections, apart from the library's encoding of them. The three
-``*_sweep`` functions are the exhaustive per-pair and per-split sweeps
-that ``verify`` runs only to name violations; its reduced tests are
+``*_sweep`` functions are exhaustive per-pair and per-split sweeps.
+``verify``'s reduced order-axiom and additivity tests, whose own sweeps
+run only to name violations, and its one-pass monotonicity check are
 checked against them. The ``reference_*`` functions are the pair and
 boost formulas as plain ``Fraction`` expressions, each result rounded once
 when an operand is a float, apart from the library's shared kernel.

@@ -249,6 +249,8 @@ BAD_INPUTS = [
     ("header-over-cap", ["build", "--input", "FILE"], "events 5000\n", 1),
     ("rel-before-header", ["build", "--input", "FILE"], "rel 0 1\nevents 2\n", 1),
     ("chain-before-header", ["build", "--input", "FILE"], "chain P 0 : 0\nevents 2\n", 1),
+    ("gen-lattice-one-param", ["build", "--gen", "lattice:8"], None, 2),
+    ("header-two-params", ["build", "--input", "FILE"], "events 3 4\n", 1),
 ]
 
 

@@ -1,12 +1,14 @@
 import pytest
 
 from eventposet import (
+    InvalidArgumentError,
     LatticeChainSpec,
     LatticeSpec,
     build_poset,
     export_dot,
     generate_lattice,
     make_valued_chain,
+    standard_lattice,
 )
 
 TWO_EVENT_HASSE = """\
@@ -81,3 +83,20 @@ def test_unknown_mode_rejected():
     poset = build_poset(2, [(0, 1)])
     with pytest.raises(ValueError):
         export_dot(poset, mode="sideways")
+
+
+@pytest.mark.parametrize("mode", ["hasse", "geometric"])
+def test_chain_names_are_written_as_dot_strings(mode):
+    # The geometric view does not place the boosted chain S, so its name is
+    # written only in the comment that lists the chains left out.
+    lattice = standard_lattice(8, 8)
+
+    def renamed(name):
+        chains = dict(lattice.chains)
+        chains[name] = chains.pop("S")
+        return chains
+
+    assert '"S\\"x"' in export_dot(lattice.poset, renamed('S"x'), mode)
+    for name in ("S\\", "S\nx"):
+        with pytest.raises(InvalidArgumentError, match="cannot be written as a DOT string"):
+            export_dot(lattice.poset, renamed(name), mode)

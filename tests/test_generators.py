@@ -226,6 +226,8 @@ def test_maximal_chains_are_maximal():
         assert walk[-1] not in succ
         for a, b in zip(walk, walk[1:]):
             assert poset.leq(a, b) and a != b
+    # A poset without events has no minimal event to start a walk from.
+    assert maximal_chains(build_poset(0, []), 0, 3) == []
 
 
 def test_distance_needs_mutual_projection():

@@ -1,9 +1,18 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eventposet import EventPosetError, FormatError, format_poset_text, parse_poset_text
+from eventposet import (
+    EventPosetError,
+    FormatError,
+    InvalidArgumentError,
+    chain_poset,
+    format_poset_text,
+    make_valued_chain,
+    parse_poset_text,
+)
 from eventposet.verify import projection_lattice
 
 
@@ -41,6 +50,17 @@ def test_roundtrip_projection_lattice():
     poset, _ = parse_poset_text(text)
     for x in poset.events():
         assert poset.above_bits(x) == lattice.poset.above_bits(x)
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a#b", ":", "a\x1cb", "a\u2028b"])
+def test_writer_refuses_a_chain_name_it_cannot_read_back(name):
+    poset = chain_poset(2)
+    chains = {name: make_valued_chain(poset, (0, 1), (0, 1), name)}
+    with pytest.raises(InvalidArgumentError, match=f"chain name {re.escape(repr(name))} "):
+        format_poset_text(poset, chains)
+    # One token of the grammar reads back, keywords and colons included.
+    chains = {"a:b": chains[name], "chain": chains[name]}
+    assert set(parse_poset_text(format_poset_text(poset, chains))[1]) == set(chains)
 
 
 def test_unknown_keyword_rejected():

@@ -501,8 +501,8 @@ def test_every_failure_message_is_reached(monkeypatch, lattice12, check, attribu
 
 
 def test_a_raising_check_fails_and_the_rest_still_run():
-    # The text format cannot carry the chain name "a b", so text-roundtrip
-    # raises a FormatError reparsing its own output.
+    # The text format cannot carry the chain name "a b", so the writer
+    # refuses it and text-roundtrip fails with the refusal.
     p = chain_poset(3)
     lines = []
     results = verify.run_for(
@@ -511,7 +511,7 @@ def test_a_raising_check_fails_and_the_rest_still_run():
     assert lines == [
         "[PASS] order-axioms",
         "[PASS] reduction-roundtrip",
-        "[FAIL] text-roundtrip: line 4: 'b' is not an integer",
+        "[FAIL] text-roundtrip: chain name 'a b' is not one token of the text format",
         "[PASS] projection-oracle",
         "[PASS] projection-monotonicity",
         "[PASS] interval-length-additivity",
