@@ -30,6 +30,7 @@ from .errors import (
     EventPosetError,
     FloatRangeError,
     FormatError,
+    FrozenRecordError,
     InvalidArgumentError,
     InvalidIdError,
     MissingProjectionError,

@@ -10,22 +10,24 @@ one rule for an index range ``(lo, hi)`` of a chain
 (``_check_index_range``): windows, subchains and closed intervals all use it.
 It also owns the rules that two chains compared with each other live on one
 poset (``_check_same_poset``), and named chains on theirs (``_checked_chains``).
+Every value class of the package is an immutable ``_Record``, defined here.
 """
 from __future__ import annotations
 
 import re
 import weakref
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
+from operator import attrgetter
 from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     DifferentChainsError,
     FloatRangeError,
     FormatError,
+    FrozenRecordError,
     InvalidArgumentError,
     NotAChainError,
     NotAdjacentError,
@@ -37,6 +39,54 @@ from .poset import EventId, Poset, _is_index
 RationalLike = Rational | int | str
 IndexRange = tuple[int, int]
 _T = TypeVar("_T")
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields``, in constructor order, and
+    sets them in ``__init__`` with ``_set``; it keeps them in ``__slots__``,
+    or, for a record with caches, in its ``__dict__``. Records are equal
+    when they are of one class and their ``_compared`` fields (by default
+    all of ``_fields``) are equal, and hash on those fields; ``repr`` shows
+    every field. Assigning or deleting an attribute raises
+    FrozenRecordError; copies and pickles carry the state that
+    ``__getstate__`` returns, the slots or the ``__dict__`` of a record.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*(cls._compared or cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            _set(self, name, value)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -185,8 +235,7 @@ def _checked_chains(chains, poset: Poset) -> Mapping[str, ValuedChain]:
     return chains
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Record):
     """Strictly increasing, non-empty run of events in a poset.
 
     ``elements`` may be any iterable; it is kept as a tuple. None or no
@@ -194,40 +243,43 @@ class Chain:
     InvalidArgumentError, as do a ``poset`` that is not a Poset and a
     ``name`` that is not a str.
 
-    The private fields are caches: the position of each element, the
-    projection table that :mod:`eventposet.projection` builds on first use,
-    and the collinearity table against each partner chain that
-    :mod:`eventposet.structure` builds on first use. They take no part in
-    equality, hashing or ``repr``, and copies and pickles start without
-    collinearity tables.
+    A chain keeps a ``__dict__`` for its private caches: the position of
+    each element, the projection table that :mod:`eventposet.projection`
+    builds on first use, and the collinearity table against each partner
+    chain that :mod:`eventposet.structure` builds on first use. They take
+    no part in equality, hashing or ``repr``, and copies and pickles start
+    without collinearity tables.
     """
 
-    poset: Poset
-    elements: tuple[EventId, ...]
-    name: str = ""
-    _positions: dict[EventId, int] = field(init=False, compare=False, repr=False)
-    _projections: object = field(default=None, init=False, compare=False, repr=False)
-    _collinearities: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    _fields = ("poset", "elements", "name")
+
+    def __init__(self, poset: Poset, elements: Iterable[EventId], name: str = ""):
+        self.__dict__.update(poset=poset, elements=elements, name=name)
+        self.__post_init__()
 
     def __post_init__(self):
+        # Checks and normalizes the fields. ``perfbench/tracer.py`` wraps
+        # this method by name to time chain validation.
         _check_type(self.poset, Poset, "the poset of a chain")
         _check_type(self.name, str, "the name of a chain")
-        object.__setattr__(self, "elements", _as_tuple(self.elements or (), "chain elements"))
-        if not self.elements:
+        elements = _as_tuple(self.elements or (), "chain elements")
+        if not elements:
             raise NotAChainError("a chain needs at least one element")
-        for event in self.elements:
+        for event in elements:
             self.poset.check_id(event)
-        for i in range(len(self.elements) - 1):
-            a, b = self.elements[i], self.elements[i + 1]
+        for i in range(len(elements) - 1):
+            a, b = elements[i], elements[i + 1]
             if a == b or not self.poset.leq(a, b):
                 raise NotAChainError(
                     f"elements {a} and {b} at positions {i},{i + 1} are not "
                     "strictly increasing"
                 )
-        positions = {event: i for i, event in enumerate(self.elements)}
-        object.__setattr__(self, "_positions", positions)
+        self.__dict__.update(
+            elements=elements,
+            _positions={event: i for i, event in enumerate(elements)},
+            _projections=None,
+            _collinearities={},
+        )
 
     def __getstate__(self):
         # The cache refers to partners weakly, which cannot be pickled.
@@ -249,30 +301,29 @@ class Chain:
         return Chain(self.poset, self.elements[lo : hi + 1], self.name)
 
 
-@dataclass(frozen=True)
-class ValuedChain:
+class ValuedChain(_Record):
     """A chain together with an isotonic rational valuation.
 
     ``values`` may be any iterable; each value is read by
     :func:`as_fraction`.
 
-    The private field caches the one coordination proof per partner chain
-    and windows (see :func:`eventposet.structure._coordination_refusal`),
-    for every check of compatibility or coordination. It takes no
-    part in equality, hashing or ``repr``, and copies and pickles start
-    with an empty cache.
+    A valued chain keeps a ``__dict__`` for its private cache of the one
+    coordination proof per partner chain and windows (see
+    :func:`eventposet.structure._coordination_refusal`), for every check
+    of compatibility or coordination. It takes no part in equality,
+    hashing or ``repr``, and copies and pickles start with an empty cache.
     """
 
-    chain: Chain
-    values: tuple[Fraction, ...]
-    _coordinations: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    _fields = ("chain", "values")
+
+    def __init__(self, chain: Chain, values: Iterable[RationalLike]):
+        self.__dict__.update(chain=chain, values=values)
+        self.__post_init__()
 
     def __post_init__(self):
+        # Checks and normalizes the fields; timed as Chain.__post_init__ is.
         _check_type(self.chain, Chain, "the chain of a valued chain")
         values = tuple(map(as_fraction, _as_tuple(self.values, "chain values")))
-        object.__setattr__(self, "values", values)
         if len(values) != len(self.chain):
             raise NotIsotonicError(
                 f"{len(values)} values for {len(self.chain)} chain elements"
@@ -282,6 +333,7 @@ class ValuedChain:
                 raise NotIsotonicError(
                     f"values {values[i]} > {values[i + 1]} at positions {i},{i + 1}"
                 )
+        self.__dict__.update(values=values, _coordinations={})
 
     def __getstate__(self):
         # The cache refers to partners weakly, which cannot be pickled.
@@ -334,17 +386,17 @@ def make_valued_chain(
     return ValuedChain(Chain(poset, elements, name), values)
 
 
-@dataclass(frozen=True)
-class ClosedInterval:
+class ClosedInterval(_Record):
     """Indices ``lo..hi`` into a valued chain, endpoints included."""
 
-    valued_chain: ValuedChain
-    lo_index: int
-    hi_index: int
+    __slots__ = _fields = ("valued_chain", "lo_index", "hi_index")
 
-    def __post_init__(self):
-        _check_type(self.valued_chain, ValuedChain, "the valued chain of a closed interval")
-        _check_index_range(self.valued_chain, self.lo_index, self.hi_index)
+    def __init__(self, valued_chain: ValuedChain, lo_index: int, hi_index: int):
+        _check_type(valued_chain, ValuedChain, "the valued chain of a closed interval")
+        _check_index_range(valued_chain, lo_index, hi_index)
+        _set(self, "valued_chain", valued_chain)
+        _set(self, "lo_index", lo_index)
+        _set(self, "hi_index", hi_index)
 
 
 def interval_length(interval: ClosedInterval) -> Fraction:

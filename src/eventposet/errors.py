@@ -118,3 +118,7 @@ class FormatError(EventPosetError):
 
 class FloatRangeError(EventPosetError):
     """An inexact result is outside the normal float range, or a float is not finite."""
+
+
+class FrozenRecordError(EventPosetError, AttributeError):
+    """A field of an immutable record was assigned or deleted; also an AttributeError."""

@@ -18,36 +18,34 @@ import math
 import numbers
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
 
-from .chains import ValuedChain, _check_type, make_valued_chain
+from .chains import ValuedChain, _check_type, _Record, _set, make_valued_chain
 from .errors import ChainEscapesWindowError, EmptyWindowError, InvalidArgumentError
 from .poset import EventId, Poset, _check_event_count, _is_index, build_poset
 
 
-@dataclass(frozen=True)
-class LatticeChainSpec:
+class LatticeChainSpec(_Record):
     """Straight chain stepping ``(du, dv)`` per tick from ``(u0, v0)``."""
 
-    name: str
-    du: int
-    dv: int
-    u0: int = 0
-    v0: int = 0
+    __slots__ = _fields = ("name", "du", "dv", "u0", "v0")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise InvalidArgumentError(f"chain name {self.name!r} is not a str")
-        steps = (self.du, self.dv)
+    def __init__(self, name: str, du: int, dv: int, u0: int = 0, v0: int = 0):
+        if not isinstance(name, str):
+            raise InvalidArgumentError(f"chain name {name!r} is not a str")
+        steps = (du, dv)
         if not all(_is_index(step, math.inf) for step in steps) or steps == (0, 0):
             raise InvalidArgumentError(
-                f"chain {self.name!r} must step forward by ints >= 0, in at least "
-                f"one coordinate, got ({self.du!r}, {self.dv!r})"
+                f"chain {name!r} must step forward by ints >= 0, in at least "
+                f"one coordinate, got ({du!r}, {dv!r})"
             )
+        _set(self, "name", name)
+        _set(self, "du", du)
+        _set(self, "dv", dv)
+        _set(self, "u0", u0)
+        _set(self, "v0", v0)
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(_Record):
     """A ``u_max`` x ``v_max`` window and the chains to lay in it.
 
     Checked when built: the chains must be LatticeChainSpecs with distinct
@@ -57,34 +55,41 @@ class LatticeSpec:
     by :func:`generate_lattice`.
     """
 
-    u_max: int
-    v_max: int
-    chains: tuple[LatticeChainSpec, ...] = ()
+    __slots__ = _fields = ("u_max", "v_max", "chains")
 
-    def __post_init__(self):
-        if isinstance(self.chains, Iterable):
-            object.__setattr__(self, "chains", tuple(self.chains))
-        chains = self.chains
+    def __init__(self, u_max: int, v_max: int, chains: Iterable[LatticeChainSpec] = ()):
+        if isinstance(chains, Iterable):
+            chains = tuple(chains)
         if not (isinstance(chains, tuple) and all(isinstance(c, LatticeChainSpec) for c in chains)):
             raise InvalidArgumentError(f"chains {chains!r} are not LatticeChainSpecs")
         names = [c.name for c in chains]
         for name in names:
             if names.count(name) > 1:
                 raise InvalidArgumentError(f"duplicate chain name {name!r}")
-        if not (_is_index(self.u_max, math.inf) and _is_index(self.v_max, math.inf)):
-            raise InvalidArgumentError(f"window sizes {self.u_max!r}x{self.v_max!r} are not ints >= 0")
-        if self.u_max < 1 or self.v_max < 1:
-            raise EmptyWindowError(f"window {self.u_max}x{self.v_max} has no events")
-        _check_event_count(self.u_max * self.v_max)
+        if not (_is_index(u_max, math.inf) and _is_index(v_max, math.inf)):
+            raise InvalidArgumentError(f"window sizes {u_max!r}x{v_max!r} are not ints >= 0")
+        if u_max < 1 or v_max < 1:
+            raise EmptyWindowError(f"window {u_max}x{v_max} has no events")
+        _check_event_count(u_max * v_max)
+        _set(self, "u_max", u_max)
+        _set(self, "v_max", v_max)
+        _set(self, "chains", chains)
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """A generated window poset plus its named chains and coordinate maps."""
+class Lattice(_Record):
+    """A generated window poset plus its named chains and coordinate maps.
 
-    spec: LatticeSpec
-    poset: Poset
-    chains: dict[str, ValuedChain] = field(compare=False)
+    Equality and hashing read ``spec`` and ``poset``; ``chains`` follows
+    from them and is only shown.
+    """
+
+    __slots__ = _fields = ("spec", "poset", "chains")
+    _compared = ("spec", "poset")
+
+    def __init__(self, spec: LatticeSpec, poset: Poset, chains: dict[str, ValuedChain]):
+        _set(self, "spec", spec)
+        _set(self, "poset", poset)
+        _set(self, "chains", chains)
 
     def event(self, u: int, v: int) -> EventId:
         if not (_is_index(u, self.spec.u_max) and _is_index(v, self.spec.v_max)):
@@ -155,11 +160,11 @@ def standard_lattice(u_max: int = 12, v_max: int = 12) -> Lattice:
         LatticeChainSpec("T", 1, 1, 4, 2),
         LatticeChainSpec("S", 4, 1, 0, 0),
     ]
-    window = LatticeSpec(u_max, v_max)  # checks the sizes before the fit test compares them
+    LatticeSpec(u_max, v_max)  # checks the sizes before the fit test compares them
     # Steps are >= 0, so a chain whose second tick is inside the window
     # starts inside it too.
     kept = [c for c in candidates if c.u0 + c.du < u_max and c.v0 + c.dv < v_max]
-    return generate_lattice(replace(window, chains=kept))
+    return generate_lattice(LatticeSpec(u_max, v_max, kept))
 
 
 def generate_simplex(n_chains: int) -> tuple[Poset, dict[str, ValuedChain]]:

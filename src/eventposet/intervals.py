@@ -17,12 +17,20 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .chains import IndexRange, ValuedChain, _as_tuple, _check_type, _checked_window, as_fraction
+from .chains import (
+    IndexRange,
+    ValuedChain,
+    _as_tuple,
+    _check_type,
+    _checked_window,
+    _Record,
+    _set,
+    as_fraction,
+)
 from .errors import (
     BasisMismatchError,
     FloatRangeError,
@@ -48,10 +56,12 @@ class IntervalKind(Enum):
     PROJECTION_LIKE = "projection-like"
 
 
-@dataclass(frozen=True)
-class GeneralizedInterval:
-    a: EventId
-    b: EventId
+class GeneralizedInterval(_Record):
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: EventId, b: EventId):
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
 def _component(value) -> Fraction | float:
@@ -92,8 +102,7 @@ def _rounded(value: Fraction, inexact: bool) -> Fraction | float:
     return _to_float(value) if inexact else value
 
 
-@dataclass(frozen=True)
-class IntervalPair:
+class IntervalPair(_Record):
     """Two-component quantification of an interval.
 
     Components are exact rationals except downstream of an inexact pair
@@ -102,23 +111,27 @@ class IntervalPair:
     They are compared as chains, not by name.
     """
 
-    first: Fraction | float
-    second: Fraction | float
-    basis: PairBasis = PairBasis.TWO_CHAIN
-    chains: tuple[ValuedChain | str, ...] = ()
+    __slots__ = _fields = ("first", "second", "basis", "chains")
 
-    def __post_init__(self):
-        object.__setattr__(self, "first", _component(self.first))
-        object.__setattr__(self, "second", _component(self.second))
-        _check_type(self.basis, PairBasis, "the basis of an interval pair")
-        if self.chains != ():
-            chains = _as_tuple(self.chains, "interval pair chains")
+    def __init__(
+        self,
+        first: Fraction | float,
+        second: Fraction | float,
+        basis: PairBasis = PairBasis.TWO_CHAIN,
+        chains: tuple[ValuedChain | str, ...] = (),
+    ):
+        _set(self, "first", _component(first))
+        _set(self, "second", _component(second))
+        _check_type(basis, PairBasis, "the basis of an interval pair")
+        if chains != ():
+            chains = _as_tuple(chains, "interval pair chains")
             if not all(isinstance(c, (ValuedChain, str)) for c in chains):
                 kinds = [type(c).__name__ for c in chains]
                 raise InvalidArgumentError(
                     f"interval pair chains must be ValuedChains or strs, not {kinds}"
                 )
-            object.__setattr__(self, "chains", chains)
+        _set(self, "basis", basis)
+        _set(self, "chains", chains)
 
     @property
     def is_symmetric(self) -> bool:
@@ -132,10 +145,12 @@ class IntervalPair:
         return f"({self.first}, {self.second})"
 
 
-@dataclass(frozen=True)
-class IntervalClassification:
-    kind: IntervalKind
-    pure: bool
+class IntervalClassification(_Record):
+    __slots__ = _fields = ("kind", "pure")
+
+    def __init__(self, kind: IntervalKind, pure: bool):
+        _set(self, "kind", kind)
+        _set(self, "pure", pure)
 
 
 def pair(first, second) -> IntervalPair:

@@ -18,11 +18,18 @@ root, like a float component, follows the rule of :mod:`.intervals`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chains import RationalLike, ValuedChain, _check_same_poset, _check_type, as_fraction
+from .chains import (
+    RationalLike,
+    ValuedChain,
+    _check_same_poset,
+    _check_type,
+    _Record,
+    _set,
+    as_fraction,
+)
 from .errors import (
     CoincidentChainsError,
     DegenerateTransformError,
@@ -62,35 +69,36 @@ _CHARACTER_OF_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class ScalarResult:
-    value: Fraction | float
-    character: Character
+class ScalarResult(_Record):
+    __slots__ = _fields = ("value", "character")
+
+    def __init__(self, value: Fraction | float, character: Character):
+        _set(self, "value", value)
+        _set(self, "character", character)
 
 
-@dataclass(frozen=True)
-class ScalarLength:
+class ScalarLength(_Record):
     """sqrt of the interval scalar; ``imaginary`` marks a negative radicand."""
 
-    value: Fraction | float
-    imaginary: bool
+    __slots__ = _fields = ("value", "imaginary")
+
+    def __init__(self, value: Fraction | float, imaginary: bool):
+        _set(self, "value", value)
+        _set(self, "imaginary", imaginary)
 
     def __str__(self) -> str:
         return f"{self.value}i" if self.imaginary else f"{self.value}"
 
 
-@dataclass(frozen=True)
-class SpacetimeCoords:
-    dt: Fraction | float
-    dx: Fraction | float
+class SpacetimeCoords(_Record):
+    __slots__ = _fields = ("dt", "dx")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dt", _component(self.dt))
-        object.__setattr__(self, "dx", _component(self.dx))
+    def __init__(self, dt: Fraction | float, dx: Fraction | float):
+        _set(self, "dt", _component(dt))
+        _set(self, "dx", _component(dx))
 
 
-@dataclass(frozen=True)
-class PairTransform:
+class PairTransform(_Record):
     """Projection step lengths (m, n) relating two linearly-related chains.
 
     A vanishing component means every element of one chain projects to a
@@ -98,17 +106,16 @@ class PairTransform:
     inverted and are rejected.
     """
 
-    m: Fraction
-    n: Fraction
+    __slots__ = _fields = ("m", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_fraction(self.m))
-        object.__setattr__(self, "n", as_fraction(self.n))
-        if self.m <= 0 or self.n <= 0:
+    def __init__(self, m: RationalLike, n: RationalLike):
+        m, n = as_fraction(m), as_fraction(n)
+        if m <= 0 or n <= 0:
             raise DegenerateTransformError(
-                f"pair transform needs positive step lengths, got "
-                f"({self.m}, {self.n})"
+                f"pair transform needs positive step lengths, got ({m}, {n})"
             )
+        _set(self, "m", m)
+        _set(self, "n", n)
 
     def inverse(self) -> "PairTransform":
         return PairTransform(self.n, self.m)

@@ -17,12 +17,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .chains import Chain, ClosedInterval, ValuedChain, _check_type, _checked_chains, interval_length
+from .chains import (
+    Chain,
+    ClosedInterval,
+    ValuedChain,
+    _check_type,
+    _checked_chains,
+    _Record,
+    _set,
+    interval_length,
+)
 from .errors import EventPosetError, MissingProjectionError, OutOfRangeError
 from .generators import (
     Lattice,
@@ -78,11 +86,13 @@ from .structure import (
 from .textio import format_poset_text, parse_poset_text
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
 
 
 def brute_forward(poset: Poset, x: int, elements: tuple[int, ...]) -> int | None:

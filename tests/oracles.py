@@ -11,10 +11,12 @@ run only to name violations, and its one-pass monotonicity check are
 checked against them. The ``reference_*`` functions are the pair and
 boost formulas as plain ``Fraction`` expressions, each result rounded once
 when an operand is a float, apart from the library's shared kernel.
-``bad_ids`` lists the ids every per-event entry point must refuse.
+``bad_ids`` lists the ids every per-event entry point must refuse, and
+``replaced`` rebuilds a record with some fields changed.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import re
 import sys
@@ -53,6 +55,14 @@ def bad_ids(event_count: int) -> list[tuple[object, str]]:
     """
     ids = (True, False, 1.0, _Event.FIRST, "1", None, -1, event_count)
     return [(bad, re.escape(f"event id {bad!r} not in 0..{event_count - 1}")) for bad in ids]
+
+
+def replaced(record, **changes):
+    """A record of ``record``'s class with ``changes`` in place of its
+    fields, built through the class's constructor, so it is checked as any
+    new record is. The fields are the constructor's parameters."""
+    fields = {name: getattr(record, name) for name in inspect.signature(type(record)).parameters}
+    return type(record)(**{**fields, **changes})
 
 
 def brute_forward(poset: Poset, x: int, elements) -> int | None:

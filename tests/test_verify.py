@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from itertools import accumulate, count
 
@@ -33,7 +32,7 @@ def test_two_chain_sweeps_catch_a_wrong_one_chain_pair(monkeypatch):
 
     def shifted(*args):
         got = original(*args)
-        return dataclasses.replace(got, first=got.first + 1)
+        return oracles.replaced(got, first=got.first + 1)
 
     assert verify._check_two_vs_one_chain(standard_lattice(8, 8)) == []
     assert verify._check_scalar_invariance(standard_lattice(12, 12)) == []
@@ -51,7 +50,7 @@ def test_sign_preservation_catches_a_flipped_chain_pair(monkeypatch):
     def flipped(interval, p, q):
         got = original(interval, p, q)
         if (p.name, q.name) == ("Q", "R"):
-            return dataclasses.replace(got, first=-got.first)
+            return oracles.replaced(got, first=-got.first)
         return got
 
     monkeypatch.setattr(verify, "interval_pair_two_chains", flipped)
@@ -329,7 +328,7 @@ def _wrong_dt2(original):
 def _first_plus_one(original):
     def shifted(p, t):
         got = original(p, t)
-        return dataclasses.replace(got, first=got.first + 1)
+        return oracles.replaced(got, first=got.first + 1)
     return shifted
 
 
@@ -381,28 +380,28 @@ def _raising(error):
 def _second_plus_one(original):
     def shifted(p, t):
         got = original(p, t)
-        return dataclasses.replace(got, second=got.second + 1)
+        return oracles.replaced(got, second=got.second + 1)
     return shifted
 
 
 def _unbalanced_decomposition(original):
     def unbalanced(p):
         sym, anti = original(p)
-        return dataclasses.replace(sym, first=sym.first + 1), anti
+        return oracles.replaced(sym, first=sym.first + 1), anti
     return unbalanced
 
 
 def _from_coords_plus_one(original):
     def shifted(c):
         got = original(c)
-        return dataclasses.replace(got, first=got.first + 1)
+        return oracles.replaced(got, first=got.first + 1)
     return shifted
 
 
 def _dt_plus_one(original):
     def shifted(p):
         got = original(p)
-        return dataclasses.replace(got, dt=got.dt + 1)
+        return oracles.replaced(got, dt=got.dt + 1)
     return shifted
 
 
