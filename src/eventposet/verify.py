@@ -11,7 +11,9 @@ exhaustive sweep finds nothing; a pass is still a proof over the whole
 window. The sweep runs only when the reduced test fails, and it alone
 names the violations, which show only pair by pair or split by split.
 Projection monotonicity is one pass over masks grouped by image, which
-both decides the check and names the violations.
+both decides the check and names the violations. The projection oracle
+scans each chain's elements linearly in the closure rows, fetched once per
+check, rather than calling the id-checking ``Poset.leq``.
 """
 from __future__ import annotations
 
@@ -95,17 +97,22 @@ class CheckResult(_Record):
         _set(self, "detail", detail)
 
 
-def brute_forward(poset: Poset, x: int, elements: tuple[int, ...]) -> int | None:
-    """Independent oracle: linear scan for the least including element."""
+def brute_forward(above: list[int], x: int, elements: tuple[int, ...]) -> int | None:
+    """Independent oracle: linear scan for the least including element, the
+    first of ``elements`` in chain order whose bit is set in ``x``'s closure
+    row ``above[x]``."""
+    above_x = above[x]
     for e in elements:
-        if poset.leq(x, e):
+        if above_x >> e & 1:
             return e
     return None
 
 
-def brute_backward(poset: Poset, x: int, elements: tuple[int, ...]) -> int | None:
+def brute_backward(above: list[int], x: int, elements: tuple[int, ...]) -> int | None:
+    """Independent oracle: linear scan for the greatest included element, the
+    last of ``elements`` in chain order whose closure row holds ``x``."""
     for e in reversed(elements):
-        if poset.leq(e, x):
+        if above[e] >> x & 1:
             return e
     return None
 
@@ -209,12 +216,16 @@ def _check_reduction_roundtrip(poset: Poset) -> list[str]:
 
 
 def _check_projection_oracle(poset: Poset, chains: Iterable[Chain]) -> list[str]:
+    # Ids come from the poset and its chains, so the oracles read the closure
+    # rows directly instead of through the id-checking ``leq``.
+    above = [poset.above_bits(x) for x in poset.events()]
     bad = []
     for chain in chains:
+        elements = chain.elements
         for x in poset.events():
-            if forward_project(x, chain) != brute_forward(poset, x, chain.elements):
+            if forward_project(x, chain) != brute_forward(above, x, elements):
                 bad.append(f"forward projection of {x} onto {chain.name!r}")
-            if backward_project(x, chain) != brute_backward(poset, x, chain.elements):
+            if backward_project(x, chain) != brute_backward(above, x, elements):
                 bad.append(f"backward projection of {x} onto {chain.name!r}")
     return bad
 
@@ -226,8 +237,7 @@ def _check_projection_monotone(poset: Poset, chains: Iterable[Chain]) -> list[st
     bad = []
     for chain in chains:
         forwards, backwards = _projection_table(chain)
-        forward_breaking = _breaking_masks(above, forwards)
-        backward_breaking = _breaking_masks(above, backwards)
+        forward_breaking, backward_breaking = _breaking_masks(above, forwards, backwards)
         for x, above_x in enumerate(above):
             fx, bx = forwards[x], backwards[x]
             if fx is not None and bx is not None and not above[bx] >> fx & 1:
@@ -243,21 +253,32 @@ def _check_projection_monotone(poset: Poset, chains: Iterable[Chain]) -> list[st
     return bad
 
 
-def _breaking_masks(above: list[int], images: list[int | None]) -> dict[int | None, int]:
-    """For each image ``e`` in ``images``, the events whose image is not in
-    ``above[e]``: an event ``x`` imaged at ``e`` breaks monotonicity at each
-    ``y`` of ``above[x]`` in that mask. An absent image breaks nothing and is
-    in no mask.
+def _breaking_masks(
+    above: list[int], *tables: list[int | None]
+) -> list[dict[int | None, int]]:
+    """For each table and each image ``e`` in it, the table's events whose
+    image is not in ``above[e]``: an event ``x`` imaged at ``e`` breaks
+    monotonicity at each ``y`` of ``above[x]`` in that mask. An absent image
+    breaks nothing and is in no mask.
+
+    Which images each image's row misses is found once, over the union of
+    the tables' images: a chain's two valid tables both have its elements
+    as images, and a doctored table's other images are in the union too.
     """
-    imaged: dict[int, int] = {}
-    for y, c in enumerate(images):
-        if c is not None:
-            imaged[c] = imaged.get(c, 0) | 1 << y
+    groups = []
+    for images in tables:
+        imaged: dict[int, int] = {}
+        for y, c in enumerate(images):
+            if c is not None:
+                imaged[c] = imaged.get(c, 0) | 1 << y
+        groups.append(imaged)
+    union = set().union(*groups)
+    missed = {e: [c for c in union if not above[e] >> c & 1] for e in union}
     # The groups are disjoint, so their sum is their union.
-    breaking: dict[int | None, int] = {None: 0}
-    for e in imaged:
-        breaking[e] = sum(events for c, events in imaged.items() if not above[e] >> c & 1)
-    return breaking
+    return [
+        {None: 0, **{e: sum(imaged.get(c, 0) for c in missed[e]) for e in imaged}}
+        for imaged in groups
+    ]
 
 
 def _check_collinearity_unique(lattice: Lattice) -> list[str]:

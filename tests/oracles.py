@@ -1,16 +1,17 @@
 """Independent oracles the tests check the library against.
 
 These deliberately avoid the library's search code paths: projections are
-recomputed by linear scan over chain elements and, on lattices, from the
-closed-form coordinate bounds of the product order. The collinearity
-cases are spelled out from their definitions over the library's
-projections, apart from the library's encoding of them. The three
-``*_sweep`` functions are exhaustive per-pair and per-split sweeps.
-``verify``'s reduced order-axiom and additivity tests, whose own sweeps
-run only to name violations, and its one-pass monotonicity check are
-checked against them. The ``reference_*`` functions are the pair and
-boost formulas as plain ``Fraction`` expressions, each result rounded once
-when an operand is a float, apart from the library's shared kernel.
+recomputed by linear scan over chain elements through ``Poset.leq`` and,
+on lattices, from the closed-form coordinate bounds of the product order.
+The collinearity cases are spelled out from their definitions over the
+library's projections, apart from the library's encoding of them. The
+four ``*_sweep`` functions are exhaustive per-pair, per-split and
+per-event sweeps. ``verify``'s reduced order-axiom and additivity tests,
+whose own sweeps run only to name violations, its one-pass monotonicity
+check and its projection oracle, which scans closure rows, are checked
+against them. The ``reference_*`` functions are the pair and boost
+formulas as plain ``Fraction`` expressions, each result rounded once when
+an operand is a float, apart from the library's shared kernel.
 ``bad_ids`` lists the ids every per-event entry point must refuse, and
 ``replaced`` rebuilds a record with some fields changed.
 """
@@ -184,6 +185,19 @@ def projection_monotone_sweep(poset: Poset, chains) -> list[str]:
                     bad.append(f"forward monotonicity broken at {x} <= {y}")
                 if bx is not None and by is not None and not above[bx] >> by & 1:
                     bad.append(f"backward monotonicity broken at {x} <= {y}")
+    return bad
+
+
+def projection_oracle_sweep(poset: Poset, chains) -> list[str]:
+    """Every event whose forward or backward projection onto a chain is not
+    the ``leq`` scan's answer, in ``verify``'s message and order."""
+    bad = []
+    for chain in chains:
+        for x in poset.events():
+            if forward_project(x, chain) != brute_forward(poset, x, chain.elements):
+                bad.append(f"forward projection of {x} onto {chain.name!r}")
+            if backward_project(x, chain) != brute_backward(poset, x, chain.elements):
+                bad.append(f"backward projection of {x} onto {chain.name!r}")
     return bad
 
 

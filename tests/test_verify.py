@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, count
 
@@ -197,6 +198,38 @@ def test_projection_monotonicity_matches_the_reference_sweep(data):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(_doctored_projections())
+def test_projection_oracle_matches_the_leq_sweep(data):
+    poset, chains = data
+    assert verify._check_projection_oracle(poset, chains) == (
+        oracles.projection_oracle_sweep(poset, chains)
+    )
+
+
+def test_projection_oracle_reads_each_row_once_and_never_calls_leq(monkeypatch):
+    # Ids come from the poset, so they are not checked again in the scans:
+    # the check reads each closure row once and makes no leq call.
+    lattice = standard_lattice(12, 12)
+    poset = lattice.poset
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(Poset, name)
+
+        def call(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return call
+
+    for name in ("leq", "above_bits"):
+        monkeypatch.setattr(Poset, name, counted(name))
+    chains = [vc.chain for vc in lattice.chains.values()]
+    assert verify._check_projection_oracle(poset, chains) == []
+    assert calls["leq"] == 0
+    assert calls["above_bits"] <= poset.event_count
+
+
 @st.composite
 def _lengths(draw):
     chains = []
@@ -353,14 +386,23 @@ _MUTANTS = [
     ("text-roundtrip", "parse_poset_text", _one_event_poset, _run_all),
     ("projection-oracle", "brute_forward", _constant(None), _run_all),
     ("projection-oracle", "brute_forward", _constant(None), _run_for),
+    ("projection-oracle", "brute_backward", _constant(None), _run_all),
+    ("projection-oracle", "brute_backward", _constant(None), _run_for),
     ("reduction-roundtrip", "build_poset", _empty_rows, _run_all),
 ]
 
 
-@pytest.mark.parametrize(
-    "name, attribute, mutant, run", _MUTANTS,
-    ids=[f"{name}-{run.__name__[1:]}" for name, _, _, run in _MUTANTS],
-)
+def _mutant_ids(rows):
+    """``check-suite`` for each row; a later row of the same check and suite
+    adds its primitive, so the first row's id stays as it was."""
+    ids = []
+    for name, attribute, _, run in rows:
+        key = f"{name}-{run.__name__[1:]}"
+        ids.append(f"{key}-{attribute}" if key in ids else key)
+    return ids
+
+
+@pytest.mark.parametrize("name, attribute, mutant, run", _MUTANTS, ids=_mutant_ids(_MUTANTS))
 def test_every_check_can_fail(monkeypatch, name, attribute, mutant, run):
     # One wrong primitive in verify's namespace must fail the check built on it.
     monkeypatch.setattr(verify, attribute, mutant(getattr(verify, attribute)))
