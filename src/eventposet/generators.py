@@ -248,19 +248,19 @@ def maximal_chains(poset: Poset, seed: int, count: int) -> list[tuple[EventId, .
     if not _is_index(count, math.inf):
         raise InvalidArgumentError(f"count {count!r} is not an int >= 0")
     rng = _seeded_rng(seed)
-    successors: dict[int, list[int]] = {}
-    predecessors: dict[int, list[int]] = {}
+    successors: list[list[int]] = [[] for _ in poset.events()]
+    has_predecessor = [False] * poset.event_count
     for a, b in poset.cover_edges():
-        successors.setdefault(a, []).append(b)
-        predecessors.setdefault(b, []).append(a)
-    minimal = [v for v in poset.events() if v not in predecessors]
+        successors[a].append(b)
+        has_predecessor[b] = True
+    minimal = [v for v in poset.events() if not has_predecessor[v]]
     chains = []
     for _ in range(count):
         if not minimal:
             break
         node = rng.choice(minimal)
         walk = [node]
-        while node in successors:
+        while successors[node]:
             node = rng.choice(successors[node])
             walk.append(node)
         chains.append(tuple(walk))

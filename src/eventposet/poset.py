@@ -5,10 +5,12 @@ that is transitive and antisymmetric, so the set of events forms a poset.
 The reflexive-transitive closure is stored as one Python-int bitmask per
 event (bit ``y`` of row ``x`` set iff ``x <= y``), which makes ``leq`` a
 single bit test and keeps exhaustive sweeps over desk-scale posets cheap.
-One depth-first pass over the input relations orders the events, names a
-cycle if there is one, and derives both the closure and the cover edges
-(the Hasse diagram): the input relations not already implied when their
-source finishes.
+Each input relation passes one id test. One depth-first pass over the
+relations then orders the events, names a cycle if there is one, and
+derives both the closure and the cover edges (the Hasse diagram): the
+input relations not already implied when their source finishes. Covers are
+collected per event as it finishes and listed in id order, with no sort of
+all cover pairs.
 
 Posets are immutable after :func:`build_poset`; every downstream structure
 (chains, projections, interval quantification) caches against the closure,
@@ -128,9 +130,12 @@ def build_poset(event_count: int, relations: Iterable[tuple[EventId, EventId]]) 
 
     Redundant and repeated relations are accepted silently. The stored
     cover set is the transitive reduction regardless of how the input was
-    phrased. One depth-first pass derives the closure and the covers; a
-    relation that reaches an event still on its stack closes a cycle, and
-    the stack from that event back to it is the witness.
+    phrased. Each relation passes one test (both ids plain ints in range,
+    then distinct); only a relation that fails it is looked at again, to
+    name the error. One depth-first pass derives the closure and the covers;
+    a relation that reaches an event still on its stack closes a cycle, and
+    the stack from that event back to it is the witness. Each event's covers
+    are collected when it finishes, and all covers are listed in id order.
 
     Raises:
         InvalidArgumentError: ``event_count`` is not an int in
@@ -142,16 +147,19 @@ def build_poset(event_count: int, relations: Iterable[tuple[EventId, EventId]]) 
     _check_event_count(event_count)
 
     adjacency: list[list[int]] = [[] for _ in range(event_count)]
-    # Nothing in the loop body raises TypeError or ValueError: either comes
-    # from iterating ``relations`` or unpacking one, so no relation pays a check.
+    # One test per relation: both ids pass the int rule of ``_is_index``
+    # inline, and only then are they compared. Nothing in the loop body
+    # raises TypeError or ValueError: either comes from iterating
+    # ``relations`` or unpacking one, so no relation pays a check.
     try:
         for a, b in relations:
-            if not (_is_index(a, event_count) and _is_index(b, event_count)):
+            if type(a) is int is type(b) and 0 <= a < event_count and 0 <= b < event_count and a != b:
+                adjacency[a].append(b)
+            elif not (_is_index(a, event_count) and _is_index(b, event_count)):
                 bad = b if _is_index(a, event_count) else a
                 raise InvalidIdError(f"event id {bad!r} not in 0..{event_count - 1}")
-            if a == b:
+            else:
                 raise CycleDetectedError((a, a))
-            adjacency[a].append(b)
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"relations are not an iterable of pairs: {exc}") from None
 
@@ -160,10 +168,10 @@ def build_poset(event_count: int, relations: Iterable[tuple[EventId, EventId]]) 
     # finishes, all its successors have ranks; visited by rank, a successor
     # below w is visited before w, so v -> w is a cover exactly when bit w is
     # not yet set. Every cover is an input relation, and a repeated relation
-    # finds its bit set.
+    # finds its bit set. A finished event's adjacency list is not read again,
+    # so its covers, in id order, take its place.
     state = [_UNVISITED] * event_count
     above = [0] * event_count
-    covers: list[tuple[int, int]] = []
     rank = event_count
     for root in range(event_count):
         if state[root] != _UNVISITED:
@@ -184,15 +192,18 @@ def build_poset(event_count: int, relations: Iterable[tuple[EventId, EventId]]) 
                 v = path.pop()
                 pending.pop()
                 bits = 1 << v
+                found = []
                 for w in sorted(adjacency[v], key=state.__getitem__):
                     if not (bits >> w) & 1:
-                        covers.append((v, w))
+                        found.append(w)
                         bits |= above[w]
+                found.sort()
+                adjacency[v] = found
                 above[v] = bits
                 rank -= 1
                 state[v] = rank
-    covers.sort()
-    return Poset(event_count, above, tuple(covers))
+    covers = tuple([(v, w) for v, found in enumerate(adjacency) for w in found])
+    return Poset(event_count, above, covers)
 
 
 def chain_poset(length: int) -> Poset:

@@ -33,9 +33,18 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
         if not tokens:
             continue
         keyword = tokens[0]
-        if keyword in ("rel", "chain") and event_count is None:
+        # A well-formed ``rel`` line takes one branch; ``_parse_int`` runs
+        # only to name the first id that ``int`` refused.
+        if keyword == "rel" and len(tokens) == 3 and event_count is not None:
+            try:
+                relations.append((int(tokens[1]), int(tokens[2])))
+            except ValueError:
+                relations.append((_parse_int(tokens[1], lineno), _parse_int(tokens[2], lineno)))
+        elif keyword in ("rel", "chain") and event_count is None:
             raise FormatError(f"line {lineno}: {keyword!r} before 'events' header")
-        if keyword == "events":
+        elif keyword == "rel":
+            raise FormatError(f"line {lineno}: expected 'rel A B'")
+        elif keyword == "events":
             if event_count is not None:
                 raise FormatError(f"line {lineno}: duplicate events header")
             if len(tokens) != 2:
@@ -45,10 +54,6 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
                 _check_event_count(event_count)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from None
-        elif keyword == "rel":
-            if len(tokens) != 3:
-                raise FormatError(f"line {lineno}: expected 'rel A B'")
-            relations.append((_parse_int(tokens[1], lineno), _parse_int(tokens[2], lineno)))
         elif keyword == "chain":
             if len(tokens) < 4 or ":" not in tokens:
                 raise FormatError(
@@ -81,7 +86,7 @@ def format_poset_text(poset: Poset, chains: Mapping[str, ValuedChain] | None = N
     _check_type(poset, Poset, "the poset to format")
     chains = _checked_chains(chains, poset)
     lines = [f"events {poset.event_count}"]
-    lines.extend(f"rel {a} {b}" for a, b in poset.cover_edges())
+    lines += [f"rel {a} {b}" for a, b in poset.cover_edges()]
     for name in sorted(chains):
         if name == ":" or _tokens(name) != [name]:
             raise InvalidArgumentError(f"chain name {name!r} is not one token of the text format")

@@ -230,6 +230,38 @@ def test_maximal_chains_are_maximal():
     assert maximal_chains(build_poset(0, []), 0, 3) == []
 
 
+# Walks recorded before the successor lists replaced the per-event dicts:
+# the same covers in the same order give the same sequence of draws.
+_RANDOM_WALKS = {
+    0: [(13, 12, 0, 29), (19, 10, 3, 5, 6, 29), (19, 0, 24, 17, 27), (9, 22, 10, 3, 5, 6, 16, 25, 27)],
+    1: [(9, 1), (13, 12, 22, 8, 26, 18, 16, 14), (13, 12, 22, 8, 26, 18, 16, 14), (19, 0, 29)],
+    7: [(13, 12, 22, 10, 3, 5, 6, 29), (19, 0, 24, 17, 27), (13, 12, 0, 24, 17, 27), (9, 1)],
+}
+_LATTICE_WALKS = {
+    0: [
+        (0, 12, 13, 25, 37, 49, 61, 73, 85, 86, 87, 99, 100, 101, 113, 114, 126, 127, 128, 140, 141, 142, 143),
+        (0, 12, 13, 25, 37, 49, 50, 51, 52, 64, 65, 77, 89, 90, 102, 103, 104, 105, 106, 107, 119, 131, 143),
+        (0, 12, 13, 25, 37, 38, 50, 51, 63, 75, 76, 88, 100, 101, 113, 114, 115, 116, 117, 129, 141, 142, 143),
+    ],
+    5: [
+        (0, 12, 13, 25, 26, 27, 28, 29, 41, 53, 54, 66, 67, 68, 69, 70, 82, 94, 95, 107, 119, 131, 143),
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 20, 32, 33, 34, 35, 47, 59, 71, 83, 95, 107, 119, 131, 143),
+        (0, 12, 24, 25, 37, 38, 50, 62, 74, 86, 98, 99, 111, 123, 124, 125, 137, 138, 139, 140, 141, 142, 143),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_RANDOM_WALKS))
+def test_maximal_chains_walks_are_pinned_on_a_random_dag(seed):
+    poset = generate_random(11, 30, 0.2)
+    assert maximal_chains(poset, seed, 4) == _RANDOM_WALKS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(_LATTICE_WALKS))
+def test_maximal_chains_walks_are_pinned_on_a_lattice(seed, lattice12):
+    assert maximal_chains(lattice12.poset, seed, 3) == _LATTICE_WALKS[seed]
+
+
 def test_distance_needs_mutual_projection():
     _, chains = generate_simplex(2)
     c1, c2 = chains["C1"], chains["C2"]

@@ -187,3 +187,57 @@ def test_chain_poset_checks_its_length_before_building(monkeypatch):
     for length in ("a", 4097):
         with pytest.raises(InvalidArgumentError):
             chain_poset(length)
+
+
+@pytest.mark.parametrize(
+    "relations, error",
+    [
+        ([(0, 0), (0, 9)], CycleDetectedError),
+        ([(0, 9), (1, 1)], InvalidIdError),
+        ([(9, 9)], InvalidIdError),
+        ([(True, True)], InvalidIdError),
+        ([(0, 1), (-1, -1)], InvalidIdError),
+    ],
+    ids=repr,
+)
+def test_the_first_bad_relation_decides_the_error(relations, error):
+    # A self-loop is a cycle only between valid ids.
+    with pytest.raises(error):
+        build_poset(3, relations)
+
+
+class _Unequal:
+    """An endpoint that cannot be compared."""
+
+    def __eq__(self, other):
+        raise TypeError("not comparable")
+
+    __hash__ = object.__hash__
+
+    def __repr__(self):
+        return "_Unequal()"
+
+
+def test_an_endpoint_is_tested_as_an_id_before_it_is_compared():
+    # Comparing first would raise TypeError, refused as InvalidArgumentError.
+    endpoint = _Unequal()
+    for relation in ((endpoint, endpoint), (endpoint, 0), (0, endpoint)):
+        with pytest.raises(InvalidIdError, match=r"event id _Unequal\(\) not in 0\.\.2"):
+            build_poset(3, [relation])
+
+
+def test_a_valid_build_tests_the_int_rule_for_the_event_count_only(monkeypatch, lattice12):
+    from eventposet import poset as poset_module
+
+    calls = []
+    is_index = poset_module._is_index
+
+    def counted(x, bound):
+        calls.append((x, bound))
+        return is_index(x, bound)
+
+    monkeypatch.setattr(poset_module, "_is_index", counted)
+    covers = lattice12.poset.cover_edges()
+    poset = build_poset(144, covers)
+    assert calls == [(144, poset_module.MAX_EVENTS + 1)]
+    assert poset.cover_edges() == covers

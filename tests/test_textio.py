@@ -124,3 +124,43 @@ def test_arbitrary_text_parses_or_raises_a_package_error(text):
         return
     assert poset.event_count >= 0
     assert all(vc.poset is poset for vc in chains.values())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rel 0 1\n", "line 1: 'rel' before 'events' header"),
+        ("\n# a comment\n\nrel 0\n", "line 4: 'rel' before 'events' header"),
+        ("events 2\n\nrel 0\n", "line 3: expected 'rel A B'"),
+        ("events 2\n# x\nrel 0 1 1\n", "line 3: expected 'rel A B'"),
+        ("events 2\nrel # 0 1\n", "line 2: expected 'rel A B'"),
+        ("events 2\nrel 0 1\n\nrel x 1\n", "line 4: 'x' is not an integer"),
+        ("events 2\n  # c\nrel 0 y\n", "line 3: 'y' is not an integer"),
+        ("events 2\nrel x y\n", "line 2: 'x' is not an integer"),
+        ("events 2\nrel 1.0 0\n", "line 2: '1.0' is not an integer"),
+        ("events 2\nrel 0 0x1\n", "line 2: '0x1' is not an integer"),
+        ("events 2\nrel 0 " + "1" * 5000 + "\n", "line 2: '" + "1" * 5000 + "' is not an integer"),
+    ],
+)
+def test_each_rel_refusal_names_its_line_and_token(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_poset_text(text)
+    assert str(exc.value) == message
+
+
+def test_a_parse_converts_rel_ids_without_the_int_helper(monkeypatch, lattice12):
+    from eventposet import textio
+
+    tokens = []
+    parse_int = textio._parse_int
+
+    def counted(token, lineno):
+        tokens.append(token)
+        return parse_int(token, lineno)
+
+    monkeypatch.setattr(textio, "_parse_int", counted)
+    text = format_poset_text(lattice12.poset, lattice12.chains)
+    poset, chains = parse_poset_text(text)
+    elements = [str(e) for name in sorted(chains) for e in chains[name].elements]
+    assert tokens == ["144"] + elements
+    assert poset.cover_edges() == lattice12.poset.cover_edges()
