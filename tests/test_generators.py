@@ -230,8 +230,8 @@ def test_maximal_chains_are_maximal():
     assert maximal_chains(build_poset(0, []), 0, 3) == []
 
 
-# Walks recorded before the successor lists replaced the per-event dicts:
-# the same covers in the same order give the same sequence of draws.
+# Walks pinned for fixed seeds: each event's successors are listed in cover
+# order, so a seed gives the same sequence of draws and the same walks.
 _RANDOM_WALKS = {
     0: [(13, 12, 0, 29), (19, 10, 3, 5, 6, 29), (19, 0, 24, 17, 27), (9, 22, 10, 3, 5, 6, 16, 25, 27)],
     1: [(9, 1), (13, 12, 22, 8, 26, 18, 16, 14), (13, 12, 22, 8, 26, 18, 16, 14), (19, 0, 29)],
