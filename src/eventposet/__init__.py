@@ -75,7 +75,7 @@ from .intervals import (
     pair,
     split_at_artificial_event,
 )
-from .poset import Comparability, EventId, Poset, build_poset, chain_poset
+from .poset import EventId, Poset, build_poset, chain_poset
 from .projection import (
     ProjectionCase,
     ProjectionOutcome,

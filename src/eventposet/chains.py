@@ -262,7 +262,7 @@ class Chain(_Record):
         # this method by name to time chain validation.
         _check_type(self.poset, Poset, "the poset of a chain")
         _check_type(self.name, str, "the name of a chain")
-        elements = _as_tuple(self.elements or (), "chain elements")
+        elements = _as_tuple(() if self.elements is None else self.elements, "chain elements")
         if not elements:
             raise NotAChainError("a chain needs at least one element")
         for event in elements:

@@ -107,8 +107,9 @@ class IntervalPair(_Record):
 
     Components are exact rationals except downstream of an inexact pair
     transform, where they may be floats. ``basis`` is a PairBasis; ``chains``
-    holds the quantifying ValuedChains (or str labels), when known, as a tuple.
-    They are compared as chains, not by name.
+    holds the quantifying ValuedChains, when known, as a tuple. They are
+    compared as chains, not by name; anything else, a str label too, is
+    refused with InvalidArgumentError.
     """
 
     __slots__ = _fields = ("first", "second", "basis", "chains")
@@ -118,17 +119,17 @@ class IntervalPair(_Record):
         first: Fraction | float,
         second: Fraction | float,
         basis: PairBasis = PairBasis.TWO_CHAIN,
-        chains: tuple[ValuedChain | str, ...] = (),
+        chains: tuple[ValuedChain, ...] = (),
     ):
         _set(self, "first", _component(first))
         _set(self, "second", _component(second))
         _check_type(basis, PairBasis, "the basis of an interval pair")
         if chains != ():
             chains = _as_tuple(chains, "interval pair chains")
-            if not all(isinstance(c, (ValuedChain, str)) for c in chains):
+            if not all(isinstance(c, ValuedChain) for c in chains):
                 kinds = [type(c).__name__ for c in chains]
                 raise InvalidArgumentError(
-                    f"interval pair chains must be ValuedChains or strs, not {kinds}"
+                    f"interval pair chains must be ValuedChains, not {kinds}"
                 )
         _set(self, "basis", basis)
         _set(self, "chains", chains)
@@ -331,8 +332,7 @@ def classify_interval(p: IntervalPair) -> IntervalClassification:
 
 
 def _chain_names(p: IntervalPair) -> tuple[str, ...]:
-    # A chain tag given as a bare label prints as itself.
-    return tuple(getattr(c, "name", c) for c in p.chains)
+    return tuple(c.name for c in p.chains)
 
 
 def join_intervals(

@@ -18,7 +18,6 @@ so mutation requires a rebuild. A built poset is safe for concurrent reads.
 """
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import CycleDetectedError, InvalidArgumentError, InvalidIdError
@@ -29,15 +28,6 @@ MAX_EVENTS = 4096
 
 _UNVISITED = -1
 _ON_STACK = -2
-
-
-class Comparability(Enum):
-    """Outcome of comparing two events under the poset order."""
-
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
 
 
 def _is_index(x: object, bound: int | float) -> bool:
@@ -86,18 +76,6 @@ class Poset:
             self.check_id(x)
             self.check_id(y)
         return bool((self._above[x] >> y) & 1)
-
-    def comparability(self, x: EventId, y: EventId) -> Comparability:
-        """Classify the pair with two closure lookups."""
-        xy = self.leq(x, y)
-        yx = self.leq(y, x)
-        if xy and yx:
-            return Comparability.EQUAL
-        if xy:
-            return Comparability.LESS
-        if yx:
-            return Comparability.GREATER
-        return Comparability.INCOMPARABLE
 
     def above_bits(self, x: EventId) -> int:
         """Bitmask of all events ``y`` with ``x <= y`` (includes ``x``)."""

@@ -164,6 +164,19 @@ _BETWEENNESS_OF_CASE = {
     CollinearityCase.III: Betweenness.Q_SIDE,
 }
 
+# The nine-way interval placement of an interval's endpoint sides.
+_POSITION_OF_SIDES = {
+    (Betweenness.P_SIDE, Betweenness.P_SIDE): IntervalPosition.INTERVAL_P_SIDE,
+    (Betweenness.BETWEEN, Betweenness.BETWEEN): IntervalPosition.BETWEEN,
+    (Betweenness.Q_SIDE, Betweenness.Q_SIDE): IntervalPosition.INTERVAL_Q_SIDE,
+    (Betweenness.P_SIDE, Betweenness.BETWEEN): IntervalPosition.A_P_B_Q,
+    (Betweenness.BETWEEN, Betweenness.P_SIDE): IntervalPosition.B_P_A_Q,
+    (Betweenness.P_SIDE, Betweenness.Q_SIDE): IntervalPosition.A_P_Q_B,
+    (Betweenness.Q_SIDE, Betweenness.P_SIDE): IntervalPosition.B_P_Q_A,
+    (Betweenness.BETWEEN, Betweenness.Q_SIDE): IntervalPosition.P_A_Q_B,
+    (Betweenness.Q_SIDE, Betweenness.BETWEEN): IntervalPosition.P_B_Q_A,
+}
+
 
 def _side(case: CollinearityCase | None) -> Betweenness | None:
     """The side of a case; None where a projection is missing."""
@@ -216,18 +229,7 @@ def interval_betweenness(
             f"interval [{a}, {b}] has an endpoint not properly collinear "
             f"with chains {p_chain.name!r}, {q_chain.name!r}"
         )
-    table = {
-        (Betweenness.P_SIDE, Betweenness.P_SIDE): IntervalPosition.INTERVAL_P_SIDE,
-        (Betweenness.BETWEEN, Betweenness.BETWEEN): IntervalPosition.BETWEEN,
-        (Betweenness.Q_SIDE, Betweenness.Q_SIDE): IntervalPosition.INTERVAL_Q_SIDE,
-        (Betweenness.P_SIDE, Betweenness.BETWEEN): IntervalPosition.A_P_B_Q,
-        (Betweenness.BETWEEN, Betweenness.P_SIDE): IntervalPosition.B_P_A_Q,
-        (Betweenness.P_SIDE, Betweenness.Q_SIDE): IntervalPosition.A_P_Q_B,
-        (Betweenness.Q_SIDE, Betweenness.P_SIDE): IntervalPosition.B_P_Q_A,
-        (Betweenness.BETWEEN, Betweenness.Q_SIDE): IntervalPosition.P_A_Q_B,
-        (Betweenness.Q_SIDE, Betweenness.BETWEEN): IntervalPosition.P_B_Q_A,
-    }
-    return table[(side_a, side_b)]
+    return _POSITION_OF_SIDES[(side_a, side_b)]
 
 
 def induced_chain_order(

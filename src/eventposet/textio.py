@@ -8,7 +8,9 @@
 ``rel A B`` states that event A influences event B. The ``events`` header
 must come first; unknown keywords are rejected. Values accept integers,
 fractions like ``3/2`` and decimals like ``0.5`` or ``1e-3``, with at most
-1000 digits and an exponent of at most 1000 in magnitude.
+1000 digits and an exponent of at most 1000 in magnitude. A refusal of a
+line starts ``line N:``; a chain's refusal, raised as the chain's
+constructor raised it, then names the chain.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .chains import ValuedChain, _check_type, _checked_chains, _parse_rational, make_valued_chain
-from .errors import FormatError, InvalidArgumentError
+from .errors import EventPosetError, FormatError, InvalidArgumentError
 from .poset import Poset, _check_event_count, build_poset
 
 
@@ -26,7 +28,7 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
     _check_type(text, str, "poset text")
     event_count: int | None = None
     relations: list[tuple[int, int]] = []
-    chain_specs: list[tuple[str, list[int], list[Fraction]]] = []
+    chain_specs: list[tuple[int, str, list[int], list[Fraction]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokens(raw)
@@ -67,7 +69,7 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
                 raise FormatError(
                     f"line {lineno}: chain {name!r} needs one value per element"
                 )
-            chain_specs.append((name, elements, values))
+            chain_specs.append((lineno, name, elements, values))
         else:
             raise FormatError(f"line {lineno}: unknown keyword {keyword!r}")
 
@@ -75,10 +77,13 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, ValuedChain]]:
         raise FormatError("missing 'events N' header")
     poset = build_poset(event_count, relations)
     chains: dict[str, ValuedChain] = {}
-    for name, elements, values in chain_specs:
+    for lineno, name, elements, values in chain_specs:
         if name in chains:
-            raise FormatError(f"duplicate chain name {name!r}")
-        chains[name] = make_valued_chain(poset, elements, values, name)
+            raise FormatError(f"line {lineno}: duplicate chain name {name!r}")
+        try:
+            chains[name] = make_valued_chain(poset, elements, values, name)
+        except EventPosetError as exc:
+            raise _on_line(exc, f"line {lineno}: chain {name!r}: ") from None
     return poset, chains
 
 
@@ -100,6 +105,15 @@ def format_poset_text(poset: Poset, chains: Mapping[str, ValuedChain] | None = N
 def _tokens(line: str) -> list[str]:
     """The tokens of one line: its text before any ``#``, split on whitespace."""
     return line.split("#", 1)[0].split()
+
+
+def _on_line(exc: EventPosetError, prefix: str) -> EventPosetError:
+    """A refusal of ``exc``'s class whose message is ``prefix`` and ``exc``'s.
+
+    A function, so that a ``raise`` of its result names, through the return
+    annotation, a class that ``tests/test_refusal_contract.py`` can check.
+    """
+    return type(exc)(f"{prefix}{exc}")
 
 
 def _parse_int(token: str, lineno: int) -> int:

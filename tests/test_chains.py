@@ -7,6 +7,7 @@ from eventposet import (
     Chain,
     ClosedInterval,
     DifferentChainsError,
+    InvalidIdError,
     NotAChainError,
     NotAdjacentError,
     NotIsotonicError,
@@ -206,3 +207,25 @@ def test_chain_normalizes_its_elements_before_the_empty_test():
     vc = make_valued_chain(poset, (e for e in (0, 1)), (v for v in ("1/2", 1)))
     assert (vc.elements, vc.values) == ((0, 1), (Fraction(1, 2), Fraction(1)))
     assert vc.revalued(iter(["3/2", 2])).values == (Fraction(3, 2), Fraction(2))
+
+
+class _NoTruthValue:
+    """Events that iterate but have no truth value."""
+
+    def __iter__(self):
+        return iter((0, 2))
+
+    def __bool__(self):
+        raise RuntimeError("no truth value")
+
+
+def test_chain_elements_are_only_iterated():
+    # Chain used to test the truth value of its elements, and the error of
+    # an iterable without one escaped.
+    assert Chain(chain_poset(3), _NoTruthValue()).elements == (0, 2)
+
+
+def test_chain_refuses_numpy_ids_as_invalid_ids():
+    numpy = pytest.importorskip("numpy")
+    with pytest.raises(InvalidIdError, match="event id .* not in 0..2"):
+        Chain(chain_poset(3), numpy.array([0, 1]))

@@ -245,24 +245,26 @@ def test_classify_interval():
     assert degenerate.kind is IntervalKind.PROJECTION_LIKE and degenerate.pure
 
 
-def test_join_adds_componentwise():
+def test_join_adds_componentwise(lattice12):
+    pq = (lattice12.chains["P"], lattice12.chains["Q"])
     left = GeneralizedInterval(0, 1)
     right = GeneralizedInterval(1, 2)
     joined, summed = join_intervals(
         left,
-        IntervalPair(1, 2, PairBasis.TWO_CHAIN, ("P", "Q")),
+        IntervalPair(1, 2, PairBasis.TWO_CHAIN, pq),
         right,
-        IntervalPair(3, -1, PairBasis.TWO_CHAIN, ("P", "Q")),
+        IntervalPair(3, -1, PairBasis.TWO_CHAIN, pq),
     )
     assert (joined.a, joined.b) == (0, 2)
     assert (summed.first, summed.second) == (4, 1)
 
 
-def test_join_identity():
+def test_join_identity(lattice12):
+    pq = (lattice12.chains["P"], lattice12.chains["Q"])
     point = GeneralizedInterval(1, 1)
     stretch = GeneralizedInterval(1, 4)
-    zero = IntervalPair(0, 0, PairBasis.TWO_CHAIN, ("P", "Q"))
-    some = IntervalPair(2, 5, PairBasis.TWO_CHAIN, ("P", "Q"))
+    zero = IntervalPair(0, 0, PairBasis.TWO_CHAIN, pq)
+    some = IntervalPair(2, 5, PairBasis.TWO_CHAIN, pq)
     _, summed = join_intervals(point, zero, stretch, some)
     assert (summed.first, summed.second) == (2, 5)
 
@@ -277,22 +279,26 @@ def test_join_needs_shared_endpoint():
         )
 
 
-def test_join_rejects_cross_basis():
+def test_join_rejects_cross_basis(lattice12):
+    p, q, r = (lattice12.chains[name] for name in "PQR")
     left = GeneralizedInterval(0, 1)
     right = GeneralizedInterval(1, 2)
-    with pytest.raises(BasisMismatchError):
+    with pytest.raises(BasisMismatchError) as exc:
         join_intervals(
             left,
-            IntervalPair(1, 1, PairBasis.TWO_CHAIN, ("P", "O")),
+            IntervalPair(1, 1, PairBasis.TWO_CHAIN, (p, q)),
             right,
-            IntervalPair(1, 1, PairBasis.TWO_CHAIN, ("O", "R")),
+            IntervalPair(1, 1, PairBasis.TWO_CHAIN, (q, r)),
         )
+    assert str(exc.value) == (
+        "cannot add pairs quantified in bases two-chain ('P', 'Q') and two-chain ('Q', 'R')"
+    )
     with pytest.raises(BasisMismatchError):
         join_intervals(
             left,
-            IntervalPair(1, 1, PairBasis.TWO_CHAIN, ("P", "Q")),
+            IntervalPair(1, 1, PairBasis.TWO_CHAIN, (p, q)),
             right,
-            IntervalPair(1, 1, PairBasis.ONE_CHAIN_SAME_SIDE, ("P", "Q")),
+            IntervalPair(1, 1, PairBasis.ONE_CHAIN_SAME_SIDE, (p, q)),
         )
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eventposet import (
-    Comparability,
     CycleDetectedError,
     InvalidArgumentError,
     InvalidIdError,
@@ -64,14 +63,6 @@ def test_incomparable_pair():
     poset = build_poset(3, [(0, 1)])
     assert not poset.leq(1, 2)
     assert not poset.leq(2, 1)
-    assert poset.comparability(1, 2) is Comparability.INCOMPARABLE
-
-
-def test_comparability_outcomes():
-    poset = chain_poset(3)
-    assert poset.comparability(0, 1) is Comparability.LESS
-    assert poset.comparability(1, 0) is Comparability.GREATER
-    assert poset.comparability(2, 2) is Comparability.EQUAL
 
 
 def test_redundant_relations_accepted():
@@ -106,11 +97,10 @@ def test_event_ids_are_plain_ints_within_the_poset(bad):
     for relation in ((bad, 2), (2, bad)):
         with pytest.raises(InvalidIdError, match=f"event id {bad!r} not in 0..2"):
             build_poset(3, [(0, 1), relation])
-    # Each order query refuses the id before it reads a row.
-    for query in (poset.leq, poset.comparability):
-        for args in ((bad, 0), (0, bad)):
-            with pytest.raises(InvalidIdError, match=f"event id {bad!r} not in 0..2"):
-                query(*args)
+    # The order query refuses the id before it reads a row.
+    for args in ((bad, 0), (0, bad)):
+        with pytest.raises(InvalidIdError, match=f"event id {bad!r} not in 0..2"):
+            poset.leq(*args)
     with pytest.raises(InvalidIdError, match=f"event id {bad!r} not in 0..2"):
         poset.above_bits(bad)
 

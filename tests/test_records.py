@@ -4,7 +4,7 @@ One instance of each of the 14 records: fields cannot be assigned or
 deleted, copies and pickles are equal records, equality and hashing leave
 out the caches and ``Lattice.chains``, and ``repr`` shows every field in
 the dataclass style the records have always printed. Importing the CLI
-loads none of the modules that ``dataclasses`` pulls in.
+loads none of the modules that ``dataclasses`` pulls in, nor ``verify``.
 """
 import copy
 import inspect
@@ -46,6 +46,7 @@ from eventposet.verify import CheckResult
 
 LATTICE = standard_lattice(4, 4)
 _P = LATTICE.chains["P"]
+_Q = make_valued_chain(LATTICE.poset, (0, 1), (0, 1), "Q")
 RECORDS = {
     "Chain": _P.chain,
     "ValuedChain": _P,
@@ -54,7 +55,7 @@ RECORDS = {
     "LatticeSpec": LATTICE.spec,
     "Lattice": LATTICE,
     "GeneralizedInterval": GeneralizedInterval(0, 15),
-    "IntervalPair": IntervalPair(Fraction(3, 2), 0.5, PairBasis.ONE_CHAIN_STRADDLE, (_P, "Q")),
+    "IntervalPair": IntervalPair(Fraction(3, 2), 0.5, PairBasis.ONE_CHAIN_STRADDLE, (_P, _Q)),
     "IntervalClassification": IntervalClassification(IntervalKind.CHAIN_LIKE, True),
     "ScalarResult": ScalarResult(Fraction(3), Character.TIME_LIKE),
     "ScalarLength": ScalarLength(Fraction(1, 2), True),
@@ -67,6 +68,10 @@ _CHAIN_P = "Chain(poset=Poset(events=16, covers=24), elements=(0, 5, 10, 15), na
 _VALUED_P = (
     f"ValuedChain(chain={_CHAIN_P}, "
     "values=(Fraction(0, 1), Fraction(1, 1), Fraction(2, 1), Fraction(3, 1)))"
+)
+_VALUED_Q = (
+    "ValuedChain(chain=Chain(poset=Poset(events=16, covers=24), elements=(0, 1), name='Q'), "
+    "values=(Fraction(0, 1), Fraction(1, 1)))"
 )
 _SPEC = "LatticeSpec(u_max=4, v_max=4, chains=(LatticeChainSpec(name='P', du=1, dv=1, u0=0, v0=0),))"
 
@@ -82,7 +87,7 @@ GOLDEN_REPRS = {
     "IntervalPair": (
         "IntervalPair(first=Fraction(3, 2), second=0.5, "
         "basis=<PairBasis.ONE_CHAIN_STRADDLE: 'one-chain-straddle'>, "
-        f"chains=({_VALUED_P}, 'Q'))"
+        f"chains=({_VALUED_P}, {_VALUED_Q}))"
     ),
     "IntervalClassification": "IntervalClassification(kind=<IntervalKind.CHAIN_LIKE: 'chain-like'>, pure=True)",
     "ScalarResult": "ScalarResult(value=Fraction(3, 1), character=<Character.TIME_LIKE: 'time-like'>)",
@@ -183,10 +188,11 @@ def test_equality_and_hash_leave_out_caches_and_lattice_chains(lattice12):
     assert Lattice(lattice12.spec, standard_lattice(12, 12).poset, lattice12.chains) != lattice12
 
 
-def test_importing_the_cli_loads_no_dataclass_machinery():
+def test_importing_the_cli_loads_no_dataclass_machinery_or_verify():
     # ``dataclasses`` and the modules it imports cost about 20 ms of every
     # command-line call. ``-S`` keeps site-packages from loading any of them.
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    # Only the ``verify`` subcommand imports ``eventposet.verify``.
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "eventposet.verify"]
     src = str(Path(eventposet.__file__).parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import eventposet.cli; "

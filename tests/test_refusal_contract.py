@@ -211,6 +211,9 @@ def test_argument_checks_raise_invalid_argument_error(call):
      "chain P of a linear relation must be a ValuedChain, not NoneType"),
     (lambda: eventposet.interval_pair_two_chains((49, 90), *_lattice_chains("P", "Q")),
      "the interval to quantify must be a GeneralizedInterval, not tuple"),
+    # A label names no chain: two posets' ("P", "Q") pairs used to join.
+    (lambda: eventposet.IntervalPair(1, 1, chains=("P", "Q")),
+     "interval pair chains must be ValuedChains, not ['str', 'str']"),
 ])
 def test_object_argument_refusals_name_the_argument_and_its_type(call, message):
     with pytest.raises(InvalidArgumentError) as exc:

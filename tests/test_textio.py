@@ -8,6 +8,9 @@ from eventposet import (
     EventPosetError,
     FormatError,
     InvalidArgumentError,
+    InvalidIdError,
+    NotAChainError,
+    NotIsotonicError,
     chain_poset,
     format_poset_text,
     make_valued_chain,
@@ -145,6 +148,27 @@ def test_arbitrary_text_parses_or_raises_a_package_error(text):
 def test_each_rel_refusal_names_its_line_and_token(text, message):
     with pytest.raises(FormatError) as exc:
         parse_poset_text(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("events 2\nchain A 1 0 : 0 1\n", NotAChainError,
+         "line 2: chain 'A': elements 1 and 0 at positions 0,1 are not strictly increasing"),
+        ("events 2\n\nchain A 0 2 : 0 1\n", InvalidIdError,
+         "line 3: chain 'A': event id 2 not in 0..1"),
+        ("events 2\nrel 0 1\nchain A 0 1 : 1 0\n", NotIsotonicError,
+         "line 3: chain 'A': values 1 > 0 at positions 0,1"),
+        ("events 2\nrel 0 1\nchain A 0 : 0\n# A again\nchain A 1 : 0\n", FormatError,
+         "line 5: duplicate chain name 'A'"),
+    ],
+)
+def test_each_chain_refusal_names_its_line_and_chain(text, error, message):
+    # Chains are built after the poset; their refusals used to name no line.
+    with pytest.raises(error) as exc:
+        parse_poset_text(text)
+    assert type(exc.value) is error
     assert str(exc.value) == message
 
 
